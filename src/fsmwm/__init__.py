@@ -21,14 +21,11 @@ from .errors import (
     SyntaxError_,
 )
 from .machine import (
-    BitMatrix,
     ConnGraph,
     Fsm,
-    adjacency,
     connectivity_graph,
     format_fsm,
     format_graph,
-    graph_of_adjacency,
     parse_fsm,
     parse_graph,
     parse_kiss2,

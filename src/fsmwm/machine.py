@@ -1,4 +1,5 @@
-"""Mealy machines, rooted connectivity graphs, and their matrix views.
+"""Mealy machines, rooted connectivity graphs, and the JSON interchange
+layer shared by every document the toolkit reads or writes.
 
 All values are immutable after construction and all operations are pure,
 so machines and graphs can be shared freely between threads.
@@ -8,8 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import DimensionError, HaltError, SemanticError, SyntaxError_
+from .errors import HaltError, SemanticError, SyntaxError_
 
 
 @dataclass(frozen=True)
@@ -32,13 +34,14 @@ class Fsm:
             raise SemanticError(f"reset state {self.reset} not in state set")
         if set(self.transitions) != set(self.output_map):
             raise SemanticError("transition and output maps must share keys")
+        inputs, outputs = set(self.inputs), set(self.outputs)
         for (src, sym), dst in self.transitions.items():
             if src not in self.states or dst not in self.states:
                 raise SemanticError(f"transition ({src},{sym})->{dst} leaves the state set")
-            if sym not in self.inputs:
+            if sym not in inputs:
                 raise SemanticError(f"unknown input symbol {sym!r}")
         for key, out in self.output_map.items():
-            if out not in self.outputs:
+            if out not in outputs:
                 raise SemanticError(f"unknown output symbol {out!r} at {key}")
 
     def defined(self, state: int, sym: str) -> bool:
@@ -60,73 +63,24 @@ class ConnGraph:
             if u not in self.vertices or v not in self.vertices:
                 raise SemanticError(f"edge ({u},{v}) leaves the vertex set")
 
-    def successors(self, v: int) -> list[int]:
-        return sorted(w for (u, w) in self.edges if u == v)
+    @cached_property
+    def _succ(self) -> dict[int, tuple[int, ...]]:
+        # Built on first use; a cached_property is not a dataclass field,
+        # so it stays out of eq, hash and repr.
+        succ: dict[int, list[int]] = {}
+        for u, w in sorted(self.edges):
+            succ.setdefault(u, []).append(w)
+        return {u: tuple(ws) for u, ws in succ.items()}
 
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Square boolean matrix with a fixed row/column <-> vertex-id mapping.
-
-    Row i corresponds to ``ids[i]``; ids are sorted ascending so the
-    matrix of a graph is reproducible.
-    """
-
-    ids: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        m = len(self.ids)
-        if tuple(sorted(self.ids)) != self.ids:
-            raise DimensionError("id mapping must be sorted ascending")
-        if len(self.rows) != m or any(len(r) != m for r in self.rows):
-            raise DimensionError("matrix must be square over the id mapping")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.ids)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.ids, tuple(zip(*self.rows)) if self.rows else ())
-
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.ids != other.ids:
-            raise DimensionError("matrix product needs matching id mappings")
-        m = self.dimension
-        cols = other.transpose().rows
-        rows = tuple(
-            tuple(1 if any(a & b for a, b in zip(row, col)) else 0 for col in cols)
-            for row in self.rows
-        )
-        return BitMatrix(self.ids, rows if m else ())
+    def successors(self, v: int) -> tuple[int, ...]:
+        """Heads of the edges leaving v, ascending."""
+        return self._succ.get(v, ())
 
 
 def connectivity_graph(m: Fsm) -> ConnGraph:
     """Project the transition map to edges, collapsing duplicate inputs."""
     edges = frozenset((src, dst) for (src, _), dst in m.transitions.items())
     return ConnGraph(vertices=m.states, edges=edges, root=m.reset)
-
-
-def adjacency(g: ConnGraph) -> BitMatrix:
-    ids = tuple(sorted(g.vertices))
-    index = {v: i for i, v in enumerate(ids)}
-    m = len(ids)
-    rows = [[0] * m for _ in range(m)]
-    for u, v in g.edges:
-        rows[index[u]][index[v]] = 1
-    return BitMatrix(ids, tuple(tuple(r) for r in rows))
-
-
-def graph_of_adjacency(a: BitMatrix, root: int) -> ConnGraph:
-    if root not in a.ids:
-        raise DimensionError(f"root {root} does not index a row of the matrix")
-    edges = frozenset(
-        (a.ids[i], a.ids[j])
-        for i, row in enumerate(a.rows)
-        for j, bit in enumerate(row)
-        if bit
-    )
-    return ConnGraph(vertices=frozenset(a.ids), edges=edges, root=root)
 
 
 def standard_cg_machine(g: ConnGraph) -> Fsm:
@@ -196,6 +150,48 @@ def run_states(m: Fsm, symbols) -> list[int]:
 # Interchange formats
 # ---------------------------------------------------------------------------
 
+def _load_doc(text: str, kind: str | None = None) -> dict:
+    """Decode one JSON document; a bundle must also carry its ``kind``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SyntaxError_(e.msg, line=e.lineno, column=e.colno) from e
+    if not isinstance(doc, dict):
+        raise SemanticError("document must be a JSON object")
+    if kind is not None and doc.get("kind") != kind:
+        raise SemanticError(f"not a {kind} bundle")
+    return doc
+
+
+def _dump_doc(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]``, checked present and of the given type."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise SemanticError(f"missing field {key!r}") from None
+    if not isinstance(value, kind):
+        raise SemanticError(f"field {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _ids(doc: dict, key: str) -> frozenset[int]:
+    ids = _field(doc, key, list)
+    if any(not isinstance(i, int) or i < 0 for i in ids):
+        raise SemanticError(f"{key} must be non-negative integer ids")
+    return frozenset(ids)
+
+
+def _symbols(doc: dict, key: str) -> tuple[str, ...]:
+    syms = _field(doc, key, list)
+    if any(not isinstance(sym, str) for sym in syms):
+        raise SemanticError(f"{key} must be strings")
+    return tuple(syms)
+
+
 def fsm_to_doc(m: Fsm) -> dict:
     return {
         "states": sorted(m.states),
@@ -210,29 +206,29 @@ def fsm_to_doc(m: Fsm) -> dict:
 
 
 def fsm_from_doc(doc: dict) -> Fsm:
-    for key in ("states", "inputs", "outputs", "transitions"):
-        if key not in doc:
-            raise SemanticError(f"missing field {key!r}")
-    if "reset" not in doc:
-        raise SemanticError("missing field 'reset'")
-    states = frozenset(doc["states"])
-    if any(not isinstance(s, int) or s < 0 for s in states):
-        raise SemanticError("state ids must be non-negative integers")
+    states = _ids(doc, "states")
     transitions = {}
     output_map = {}
-    for t in doc["transitions"]:
-        key = (t["from"], t["in"])
-        if key in transitions:
-            raise SemanticError(f"duplicate transition for state {t['from']} input {t['in']!r}")
-        if t["from"] not in states or t["to"] not in states:
+    for t in _field(doc, "transitions", list):
+        try:
+            src, sym, dst, out = t["from"], t["in"], t["to"], t["out"]
+        except (KeyError, TypeError):
+            raise SemanticError(f"transition needs from, in, to and out: {t}") from None
+        if not (isinstance(src, int) and isinstance(dst, int)
+                and src in states and dst in states):
             raise SemanticError(f"transition references unknown state: {t}")
-        transitions[key] = t["to"]
-        output_map[key] = t["out"]
+        if not (isinstance(sym, str) and isinstance(out, str)):
+            raise SemanticError(f"transition symbols must be strings: {t}")
+        key = (src, sym)
+        if key in transitions:
+            raise SemanticError(f"duplicate transition for state {src} input {sym!r}")
+        transitions[key] = dst
+        output_map[key] = out
     return Fsm(
         states=states,
-        inputs=tuple(doc["inputs"]),
-        outputs=tuple(doc["outputs"]),
-        reset=doc["reset"],
+        inputs=_symbols(doc, "inputs"),
+        outputs=_symbols(doc, "outputs"),
+        reset=_field(doc, "reset", int),
         transitions=transitions,
         output_map=output_map,
     )
@@ -240,17 +236,11 @@ def fsm_from_doc(doc: dict) -> Fsm:
 
 def parse_fsm(text: str) -> Fsm:
     """Parse the JSON-shaped interchange document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SyntaxError_(e.msg, line=e.lineno, column=e.colno) from e
-    if not isinstance(doc, dict):
-        raise SemanticError("document must be a JSON object")
-    return fsm_from_doc(doc)
+    return fsm_from_doc(_load_doc(text))
 
 
 def format_fsm(m: Fsm) -> str:
-    return json.dumps(fsm_to_doc(m), sort_keys=True, indent=2) + "\n"
+    return _dump_doc(fsm_to_doc(m))
 
 
 def graph_to_doc(g: ConnGraph) -> dict:
@@ -262,28 +252,25 @@ def graph_to_doc(g: ConnGraph) -> dict:
 
 
 def graph_from_doc(doc: dict) -> ConnGraph:
-    for key in ("vertices", "edges", "root"):
-        if key not in doc:
-            raise SemanticError(f"missing field {key!r}")
+    edges = set()
+    for e in _field(doc, "edges", list):
+        if not (isinstance(e, list) and len(e) == 2
+                and isinstance(e[0], int) and isinstance(e[1], int)):
+            raise SemanticError(f"edge {e} must be a pair of vertex ids")
+        edges.add((e[0], e[1]))
     return ConnGraph(
-        vertices=frozenset(doc["vertices"]),
-        edges=frozenset((u, v) for u, v in doc["edges"]),
-        root=doc["root"],
+        vertices=_ids(doc, "vertices"),
+        edges=frozenset(edges),
+        root=_field(doc, "root", int),
     )
 
 
-def format_graph(g: ConnGraph) -> str:
-    return json.dumps(graph_to_doc(g), sort_keys=True, indent=2) + "\n"
-
-
 def parse_graph(text: str) -> ConnGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SyntaxError_(e.msg, line=e.lineno, column=e.colno) from e
-    if not isinstance(doc, dict):
-        raise SemanticError("document must be a JSON object")
-    return graph_from_doc(doc)
+    return graph_from_doc(_load_doc(text))
+
+
+def format_graph(g: ConnGraph) -> str:
+    return _dump_doc(graph_to_doc(g))
 
 
 def parse_kiss2(text: str) -> Fsm:

@@ -7,21 +7,15 @@ import random
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError, DimensionError, FsmwmError
-from .machine import (
-    BitMatrix,
-    ConnGraph,
-    Fsm,
-    adjacency,
-    graph_of_adjacency,
-    standard_cg_machine,
-)
+from .machine import ConnGraph, Fsm, standard_cg_machine
 from .reduction import chain_of
 
 
 @dataclass(frozen=True)
 class PermKey:
-    """Permutation over matrix indices; matrix form is an identity with
-    permuted rows, orthogonal over booleans."""
+    """Permutation over matrix indices.  Its matrix K has a one at
+    (i, image[i]) in each row i, so K is orthogonal over booleans and
+    right-multiplying an adjacency matrix by K renames edge heads."""
 
     image: tuple[int, ...]
 
@@ -38,13 +32,6 @@ class PermKey:
         for i, j in enumerate(self.image):
             inv[j] = i
         return PermKey(tuple(inv))
-
-    def matrix(self) -> BitMatrix:
-        m = self.dimension
-        rows = tuple(
-            tuple(1 if j == self.image[i] else 0 for j in range(m)) for i in range(m)
-        )
-        return BitMatrix(tuple(range(m)), rows)
 
     def vertex_map(self, g: ConnGraph) -> dict[int, int]:
         """Permutation lifted to vertex ids via the sorted index mapping."""
@@ -66,24 +53,18 @@ def random_perm_key(m: int, seed: int) -> PermKey:
     return PermKey(tuple(image))
 
 
-def _apply(key_matrix: BitMatrix, g: ConnGraph) -> ConnGraph:
-    a = adjacency(g)
-    if a.dimension != key_matrix.dimension:
-        raise DimensionError(
-            f"key dimension {key_matrix.dimension} != graph size {a.dimension}"
-        )
-    product = a.matmul(BitMatrix(a.ids, key_matrix.rows))
-    return graph_of_adjacency(product, g.root)
+def _rename_heads(pi: dict[int, int], g: ConnGraph) -> ConnGraph:
+    return ConnGraph(g.vertices, frozenset((u, pi[w]) for u, w in g.edges), g.root)
 
 
 def encrypt_graph(key: PermKey, g: ConnGraph) -> ConnGraph:
-    """Right-multiply the adjacency matrix by the key."""
-    return _apply(key.matrix(), g)
+    """A*K: every edge (u, w) becomes (u, pi(w)); vertices and root stay."""
+    return _rename_heads(key.vertex_map(g), g)
 
 
 def decrypt_graph(key: PermKey, g: ConnGraph) -> ConnGraph:
-    """Right-multiply by the transposed key; inverts encrypt_graph."""
-    return _apply(key.matrix().transpose(), g)
+    """A*Kt, the inverse rename of edge heads; inverts encrypt_graph."""
+    return _rename_heads(key.inverse().vertex_map(g), g)
 
 
 def relabel_graph(key: PermKey, g: ConnGraph) -> ConnGraph:

@@ -126,6 +126,9 @@ class TapSession:
 
     def __init__(self, machine: Fsm, chi: int, omega: int, seed: int,
                  setting: int | None = None):
+        need = max(machine.states).bit_length()
+        if omega < need:
+            raise FsmwmError(f"omega {omega} too narrow; need at least {need} bits")
         self.machine = machine
         self.chi = chi
         self.omega = omega

@@ -4,7 +4,6 @@ equivalence checking."""
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -14,7 +13,7 @@ from .errors import (
     InconsistentTranscriptError,
     SemanticError,
 )
-from .machine import Fsm, fsm_from_doc, fsm_to_doc, run
+from .machine import Fsm, _dump_doc, _field, _load_doc, fsm_from_doc, fsm_to_doc, run
 from .matrixcrypt import compose_cascade
 from .reduction import branch_input_bits
 
@@ -33,73 +32,74 @@ class Package:
     watermark: Fsm
     chi: int
     omega: int
-    scheme: str = "lehmer"
     n: int = 0
     k: int = 1
 
 
 @dataclass(frozen=True)
 class Secret:
-    """What the verifier keeps: the decoding machine, the reference
-    reduction, and the permutation scheme id."""
+    """What the verifier keeps: the decoding machine and the reference
+    reduction."""
 
     mode: str
     decoder: Fsm
     redux: Fsm
-    scheme: str = "lehmer"
 
 
-def _bundle_dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+# The serial port's only permutation scheme (factorial-number-system
+# indexing); bundles name it so a reader can refuse any other.
+_SCHEME = "lehmer"
+
+
+def _check_scheme(doc: dict):
+    scheme = _field(doc, "scheme", str)
+    if scheme != _SCHEME:
+        raise SemanticError(f"unknown permutation scheme {scheme!r}")
 
 
 def format_package(p: Package) -> str:
-    return _bundle_dump({
+    return _dump_doc({
         "kind": "package",
         "mode": p.mode,
         "host": fsm_to_doc(p.host),
         "watermark": fsm_to_doc(p.watermark),
-        "tap": {"chi": p.chi, "omega": p.omega, "scheme": p.scheme,
+        "tap": {"chi": p.chi, "omega": p.omega, "scheme": _SCHEME,
                 "n": p.n, "k": p.k},
     })
 
 
 def parse_package(text: str) -> Package:
-    doc = json.loads(text)
-    if doc.get("kind") != "package":
-        raise SemanticError("not a package bundle")
-    tap = doc["tap"]
+    doc = _load_doc(text, "package")
+    tap = _field(doc, "tap", dict)
+    _check_scheme(tap)
     return Package(
-        mode=doc["mode"],
-        host=fsm_from_doc(doc["host"]),
-        watermark=fsm_from_doc(doc["watermark"]),
-        chi=tap["chi"],
-        omega=tap["omega"],
-        scheme=tap["scheme"],
-        n=tap["n"],
-        k=tap["k"],
+        mode=_field(doc, "mode", str),
+        host=fsm_from_doc(_field(doc, "host", dict)),
+        watermark=fsm_from_doc(_field(doc, "watermark", dict)),
+        chi=_field(tap, "chi", int),
+        omega=_field(tap, "omega", int),
+        n=_field(tap, "n", int),
+        k=_field(tap, "k", int),
     )
 
 
 def format_secret(s: Secret) -> str:
-    return _bundle_dump({
+    return _dump_doc({
         "kind": "secret",
         "mode": s.mode,
         "decoder": fsm_to_doc(s.decoder),
         "redux": fsm_to_doc(s.redux),
-        "scheme": s.scheme,
+        "scheme": _SCHEME,
     })
 
 
 def parse_secret(text: str) -> Secret:
-    doc = json.loads(text)
-    if doc.get("kind") != "secret":
-        raise SemanticError("not a secret bundle")
+    doc = _load_doc(text, "secret")
+    _check_scheme(doc)
     return Secret(
-        mode=doc["mode"],
-        decoder=fsm_from_doc(doc["decoder"]),
-        redux=fsm_from_doc(doc["redux"]),
-        scheme=doc["scheme"],
+        mode=_field(doc, "mode", str),
+        decoder=fsm_from_doc(_field(doc, "decoder", dict)),
+        redux=fsm_from_doc(_field(doc, "redux", dict)),
     )
 
 

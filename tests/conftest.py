@@ -44,6 +44,27 @@ def random_graph(rng: random.Random, m: int, density: float = 0.35) -> ConnGraph
     return ConnGraph(vertices=vertices, edges=frozenset(edges), root=0)
 
 
+def dense(g: ConnGraph) -> list[list[int]]:
+    """Boolean adjacency matrix, rows and columns in ascending vertex id."""
+    ids = sorted(g.vertices)
+    return [[int((u, w) in g.edges) for w in ids] for u in ids]
+
+
+def key_matrix(image) -> list[list[int]]:
+    """Permutation matrix with a one at (i, image[i]) in each row i."""
+    return [[int(j == i_img) for j in range(len(image))] for i_img in image]
+
+
+def bool_matmul(a, b) -> list[list[int]]:
+    """Dense boolean product; oracle for the edge-relabelling transforms."""
+    cols = list(zip(*b))
+    return [[int(any(x and y for x, y in zip(row, col))) for col in cols] for row in a]
+
+
+def transpose(a) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
+
+
 def random_machine(rng: random.Random, n_states: int, n_inputs: int,
                    n_outputs: int = 3, total: bool = True) -> Fsm:
     inputs = tuple(str(i) for i in range(n_inputs))

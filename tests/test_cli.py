@@ -171,3 +171,61 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["lpr"])  # missing required --size and source
     assert e.value.code == 2
+
+
+def _drop_tap(doc):
+    del doc["tap"]
+
+
+def _drop_transition_input(doc):
+    del doc["watermark"]["transitions"][0]["in"]
+
+
+def _scalar_states(doc):
+    doc["host"]["states"] = 5
+
+
+def _unknown_scheme(doc):
+    doc["tap"]["scheme"] = "gray"
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_tap,
+    _drop_transition_input,
+    _scalar_states,
+    _unknown_scheme,
+    _top_level_list,
+])
+def test_malformed_package_exits_3(host_file, tmp_path, capsys, corrupt):
+    p = tmp_path / "p.json"
+    s = tmp_path / "s.json"
+    assert main(["emit-package", host_file, "--mode", "fixed", "-n", "3",
+                 "-k", "2", "--out-package", str(p), "--out-secret", str(s)]) == 0
+    doc = json.loads(p.read_text())
+    p.write_text(json.dumps(corrupt(doc) or doc))
+    capsys.readouterr()
+    assert main(["verify", "--package", str(p), "--secret", str(s),
+                 "--length", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_graph_exits_3(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": 3, "edges": [], "root": 0}))
+    assert main(["lpr", str(g), "-m", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_scan_test_rejects_narrow_omega(host_file, tmp_path, capsys):
+    lk = tmp_path / "lk.json"
+    assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
+    assert max(json.loads(lk.read_text())["states"]) == 128
+    assert main(["scan-test", str(lk), "--chi", "2", "--omega", "3",
+                 "--steps", "4"]) == 3
+    assert "omega 3 too narrow" in capsys.readouterr().err

@@ -1,21 +1,18 @@
-"""Machine model, graph views, matrix views and interchange formats."""
+"""Machine model, graph views and interchange formats."""
 
 import random
 
 import pytest
 
 from fsmwm import (
-    BitMatrix,
     ConnGraph,
     Fsm,
     HaltError,
     SemanticError,
     SyntaxError_,
-    adjacency,
     connectivity_graph,
     format_fsm,
     format_graph,
-    graph_of_adjacency,
     parse_fsm,
     parse_graph,
     parse_kiss2,
@@ -55,25 +52,12 @@ def test_connectivity_graph_collapses_parallel_inputs():
     assert g.root == 0
 
 
-def test_adjacency_round_trip_random(rng):
-    for _ in range(100):
-        g = random_graph(rng, rng.randint(1, 10))
-        assert graph_of_adjacency(adjacency(g), g.root) == g
-
-
-def test_adjacency_index_mapping_sorted():
-    g = ConnGraph(frozenset([7, 3, 11]), frozenset([(3, 11), (11, 7)]), 3)
-    a = adjacency(g)
-    assert a.ids == (3, 7, 11)
-    # row of 3 has a one in the column of 11
-    assert a.rows[0][2] == 1 and a.rows[2][1] == 1
-
-
-def test_bitmatrix_matmul_boolean():
-    a = BitMatrix((0, 1), ((1, 1), (0, 1)))
-    b = BitMatrix((0, 1), ((1, 0), (1, 1)))
-    assert a.matmul(b).rows == ((1, 1), (1, 1))
-    assert a.transpose().rows == ((1, 0), (1, 1))
+def test_successors_sorted_and_outside_identity():
+    g = ConnGraph(frozenset([7, 3, 11]), frozenset([(3, 11), (3, 7), (11, 7)]), 3)
+    twin = ConnGraph(g.vertices, g.edges, g.root)
+    assert g.successors(3) == (7, 11) and g.successors(7) == ()
+    assert g.successors(3) is g.successors(3)  # built once, then shared
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
 
 
 def test_standard_machine_linear_graph_single_tick():

@@ -4,11 +4,9 @@ import pytest
 
 from fsmwm import (
     AlphabetMismatchError,
-    BitMatrix,
     ConnGraph,
     DimensionError,
     PermKey,
-    adjacency,
     build_decryption_machine,
     build_watermark_machine,
     compose_cascade,
@@ -23,7 +21,7 @@ from fsmwm import (
     trace_pair,
 )
 from fsmwm.matrixcrypt import format_key, parse_key
-from conftest import random_graph
+from conftest import bool_matmul, dense, key_matrix, random_graph, transpose
 
 
 def _chain(ids):
@@ -38,13 +36,9 @@ def test_key_rejects_non_permutation():
 def test_key_matrix_is_orthogonal(rng):
     for _ in range(20):
         key = random_perm_key(rng.randint(1, 8), rng.randint(0, 10 ** 6))
-        k = key.matrix()
-        identity = BitMatrix(
-            k.ids,
-            tuple(tuple(1 if i == j else 0 for j in range(k.dimension))
-                  for i in range(k.dimension)),
-        )
-        assert k.matmul(k.transpose()) == identity
+        k = key_matrix(key.image)
+        assert bool_matmul(k, transpose(k)) == key_matrix(range(key.dimension))
+        assert key_matrix(key.inverse().image) == transpose(k)
         assert key.inverse().inverse() == key
 
 
@@ -72,18 +66,38 @@ def test_encrypt_decrypt_round_trip(rng):
 def test_encrypt_rejects_wrong_dimension():
     with pytest.raises(DimensionError):
         encrypt_graph(PermKey((1, 0)), _chain([1, 2, 3]))
+    with pytest.raises(DimensionError):
+        decrypt_graph(PermKey((1, 0)), _chain([1, 2, 3]))
+
+
+def _sparse_random_graph(rng, m):
+    """Random graph on m scattered ids, so the sorted index mapping matters."""
+    g = random_graph(rng, m)
+    ids = sorted(rng.sample(range(100), m))
+    return ConnGraph(frozenset(ids), frozenset((ids[u], ids[w]) for u, w in g.edges),
+                     ids[g.root])
+
+
+def test_encrypt_decrypt_are_dense_products(rng):
+    for _ in range(100):
+        m = rng.randint(1, 10)
+        g = _sparse_random_graph(rng, m)
+        key = random_perm_key(m, rng.randint(0, 10 ** 6))
+        a, k = dense(g), key_matrix(key.image)
+        enc, dec = encrypt_graph(key, g), decrypt_graph(key, g)
+        assert (enc.vertices, enc.root) == (dec.vertices, dec.root) == (g.vertices, g.root)
+        assert dense(enc) == bool_matmul(a, k)
+        assert dense(dec) == bool_matmul(a, transpose(k))
 
 
 def test_relabel_is_conjugation(rng):
     for _ in range(30):
         m = rng.randint(2, 8)
-        g = random_graph(rng, m)
+        g = _sparse_random_graph(rng, m)
         key = random_perm_key(m, rng.randint(0, 10 ** 6))
-        got = adjacency(relabel_graph(key, g))
-        kt = key.matrix().transpose()
-        a = adjacency(g)
-        want = kt.matmul(a.matmul(key.matrix()))
-        assert got.rows == want.rows
+        k = key_matrix(key.image)
+        want = bool_matmul(transpose(k), bool_matmul(dense(g), k))
+        assert dense(relabel_graph(key, g)) == want
 
 
 def test_trace_pair_worked_example():

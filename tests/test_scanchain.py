@@ -160,3 +160,10 @@ def test_sessions_differ_by_seed():
     # payloads agree even though the wire images differ
     assert p1 == p2
     assert [r[3] for r in t1.records] != [r[3] for r in t2.records] or s1 == s2
+
+
+def test_session_rejects_narrow_omega():
+    machine = make_chain_host(5)  # state 4 needs three bits
+    with pytest.raises(FsmwmError):
+        TapSession(machine, chi=1, omega=2, seed=0)
+    assert TapSession(machine, chi=1, omega=3, seed=0).omega == 3

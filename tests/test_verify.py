@@ -60,6 +60,15 @@ def test_bundle_kind_checked(matrix_bundle):
         parse_secret(format_package(package))
 
 
+def test_bundle_scheme_checked(matrix_bundle):
+    package, secret, _ = matrix_bundle
+    assert '"scheme": "lehmer"' in format_package(package)
+    with pytest.raises(SemanticError):
+        parse_package(format_package(package).replace('"lehmer"', '"gray"'))
+    with pytest.raises(SemanticError):
+        parse_secret(format_secret(secret).replace('"lehmer"', '"gray"'))
+
+
 def test_matrix_protocol_passes(matrix_bundle):
     package, secret, _ = matrix_bundle
     v = watermark_test(package, secret, 0, 5)
