@@ -13,7 +13,6 @@ from .errors import (
     FsmwmError,
     HaltError,
     HashCollisionError,
-    IncompatibleBlocksError,
     InconsistentTranscriptError,
     NoNontrivialDecompositionError,
     PartitionError,
@@ -71,7 +70,6 @@ from .decompose import (
     is_input_preserving,
     is_orthogonal,
     minimal_decomposition,
-    partition_dot,
 )
 from .scanchain import (
     TapSession,

@@ -4,12 +4,12 @@ decomposition, and construction of the two cascade machines."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
     CapExceededError,
     FsmwmError,
-    IncompatibleBlocksError,
     NoNontrivialDecompositionError,
     PartitionError,
 )
@@ -19,54 +19,54 @@ from .reduction import branch_input_bits
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty blocks covering a state set.  Blocks are kept
-    sorted by minimum element, which also fixes the block numbering e."""
+    """Block-assignment array: ``assign[i]`` is the block of ``states[i]``.
+    States ascend and blocks are numbered in order of their minimum
+    element (a restricted-growth string), so each partition of a state
+    set has exactly one value."""
 
-    blocks: tuple[frozenset[int], ...]
+    states: tuple[int, ...]
+    assign: tuple[int, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise PartitionError("empty block")
-            if seen & b:
-                raise PartitionError("blocks overlap")
-            seen |= b
-        if list(self.blocks) != sorted(self.blocks, key=min):
-            raise PartitionError("blocks must be ordered by minimum element")
+        if len(self.states) != len(self.assign):
+            raise PartitionError("states and assignment differ in length")
+        if any(a >= b for a, b in zip(self.states, self.states[1:])):
+            raise PartitionError("states must be strictly ascending")
+        top = -1
+        for b in self.assign:
+            if not 0 <= b <= top + 1:
+                raise PartitionError("blocks must be numbered by minimum element")
+            top = max(top, b)
 
     @classmethod
     def of(cls, blocks) -> "Partition":
-        frozen = tuple(frozenset(b) for b in blocks)
-        if any(not b for b in frozen):
-            raise PartitionError("empty block")
-        return cls(tuple(sorted(frozen, key=min)))
+        owner: dict[int, int] = {}
+        for i, block in enumerate(blocks):
+            block = set(block)
+            if not block:
+                raise PartitionError("empty block")
+            if not owner.keys().isdisjoint(block):
+                raise PartitionError("blocks overlap")
+            owner.update(dict.fromkeys(block, i))
+        states = tuple(sorted(owner))
+        renamed: dict[int, int] = {}
+        return cls(states, tuple(renamed.setdefault(owner[s], len(renamed))
+                                 for s in states))
 
-    @classmethod
-    def singletons(cls, states) -> "Partition":
-        return cls.of([{s} for s in states])
-
-    @classmethod
-    def one_block(cls, states) -> "Partition":
-        return cls.of([set(states)])
-
-    def universe(self) -> frozenset[int]:
-        return frozenset(s for b in self.blocks for s in b)
-
-    def block_of(self, state: int) -> frozenset[int]:
-        for b in self.blocks:
-            if state in b:
-                return b
-        raise PartitionError(f"state {state} not covered")
-
-    def number(self, block: frozenset[int]) -> int:
-        return self.blocks.index(block)
+    def block(self, state: int) -> int:
+        i = bisect_left(self.states, state)
+        if i == len(self.states) or self.states[i] != state:
+            raise PartitionError(f"state {state} not covered")
+        return self.assign[i]
 
     def signature(self) -> tuple:
-        return tuple(tuple(sorted(b)) for b in self.blocks)
+        blocks: list[list[int]] = [[] for _ in range(len(self))]
+        for s, b in zip(self.states, self.assign):
+            blocks[b].append(s)
+        return tuple(map(tuple, blocks))
 
     def __len__(self):
-        return len(self.blocks)
+        return max(self.assign, default=-1) + 1
 
 
 @dataclass(frozen=True)
@@ -75,120 +75,101 @@ class PartitionPair:
     pi_d: Partition
 
 
-def is_input_preserving(m: Fsm, pi: Partition) -> bool:
-    """Blockwise consistency under every input.  A defined/undefined
-    mismatch inside a block fails the check."""
-    if pi.universe() != m.states:
-        raise PartitionError("partition does not cover the state set")
-    for block in pi.blocks:
-        members = sorted(block)
-        for sym in m.inputs:
-            targets = set()
-            defined = 0
-            for s in members:
-                if m.defined(s, sym):
-                    defined += 1
-                    targets.add(pi.block_of(m.transitions[(s, sym)]))
-            if defined not in (0, len(members)) or len(targets) > 1:
+def _successor_rows(m: Fsm, states) -> list[list]:
+    """Per input, the index into ``states`` of each state's successor
+    (None where undefined)."""
+    index = {s: i for i, s in enumerate(states)}
+    return [[index.get(m.transitions.get((s, sym))) for s in states]
+            for sym in m.inputs]
+
+
+def _preserves(rows, assign, placed: int) -> bool:
+    """Input-preserving test on the first ``placed`` states: under every
+    input the states of a block are all undefined or all lead into one
+    block.  A successor not yet placed is not judged, so a prefix that
+    fails fails in every extension; with every state placed this is the
+    whole test."""
+    for row in rows:
+        image: dict[int, int] = {}
+        for i in range(placed):
+            t = row[i]
+            if t is None:
+                v = -1
+            elif t < placed:
+                v = assign[t]
+            else:
+                continue
+            if image.setdefault(assign[i], v) != v:
                 return False
     return True
 
 
-def partition_dot(p1: Partition, p2: Partition) -> Partition:
-    """All nonempty pairwise block intersections."""
-    if p1.universe() != p2.universe():
-        raise PartitionError("partitions cover different sets")
-    blocks = []
-    for b1 in p1.blocks:
-        for b2 in p2.blocks:
-            inter = b1 & b2
-            if inter:
-                blocks.append(inter)
-    return Partition.of(blocks)
+def is_input_preserving(m: Fsm, pi: Partition) -> bool:
+    """Blockwise consistency under every input.  A defined/undefined
+    mismatch inside a block fails the check."""
+    if pi.states != tuple(sorted(m.states)):
+        raise PartitionError("partition does not cover the state set")
+    return _preserves(_successor_rows(m, pi.states), pi.assign, len(pi.states))
 
 
 def is_orthogonal(p1: Partition, p2: Partition) -> bool:
-    return all(len(b) == 1 for b in partition_dot(p1, p2).blocks)
-
-
-def _restricted_growth_strings(n: int):
-    """All set partitions of range(n) as block-assignment arrays."""
-    assign = [0] * n
-
-    def rec(pos: int, maxblk: int):
-        if pos == n:
-            yield tuple(assign)
-            return
-        for b in range(maxblk + 2):
-            assign[pos] = b
-            yield from rec(pos + 1, max(maxblk, b))
-
-    yield from rec(1, 0) if n else iter(())
+    """No two states share both a block of ``p1`` and a block of ``p2``."""
+    if p1.states != p2.states:
+        raise PartitionError("partitions cover different sets")
+    return len(set(zip(p1.assign, p2.assign))) == len(p1.states)
 
 
 def enumerate_sp_partitions(m: Fsm, max_states: int = 12) -> list[Partition]:
-    """Every input-preserving partition, by set-partition enumeration plus
-    filter.  Refuses machines above the cap: the lattice grows with the
-    Bell numbers."""
-    states = sorted(m.states)
+    """Every input-preserving partition, in restricted-growth order.  The
+    search places states one at a time and drops every prefix that is
+    already not input-preserving.  Refuses machines above the cap: the
+    lattice can grow with the Bell numbers."""
+    states = tuple(sorted(m.states))
     n = len(states)
     if n > max_states:
         raise CapExceededError(
             f"machine has {n} states; exhaustive lattice search capped at {max_states}"
         )
-    # Array-based filter; noticeably faster than the Partition API inside
-    # the Bell-number loop.
-    trans = [
-        [m.transitions.get((s, sym)) for s in states] for sym in m.inputs
-    ]
-    index = {s: i for i, s in enumerate(states)}
-    tindex = [
-        [None if t is None else index[t] for t in row] for row in trans
-    ]
+    rows = _successor_rows(m, states)
+    assign = [0] * n
     found = []
-    for assign in _restricted_growth_strings(n):
-        ok = True
-        for row in tindex:
-            sig: dict[int, object] = {}
-            for i in range(n):
-                t = row[i]
-                val = -1 if t is None else assign[t]
-                blk = assign[i]
-                prev = sig.get(blk)
-                if prev is None:
-                    sig[blk] = val
-                elif prev != val:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            nblocks = max(assign) + 1
-            blocks = [set() for _ in range(nblocks)]
-            for i, b in enumerate(assign):
-                blocks[b].add(states[i])
-            found.append(Partition.of(blocks))
+
+    def extend(placed: int, top: int):
+        if not _preserves(rows, assign, placed):
+            return
+        if placed == n:
+            found.append(Partition(states, tuple(assign)))
+            return
+        for b in range(top + 2):
+            assign[placed] = b
+            extend(placed + 1, max(top, b))
+
+    if n:
+        extend(1, 0)
     return found
-
-
-def _nontrivial(p: Partition, n_states: int) -> bool:
-    return 1 < len(p) < n_states
 
 
 def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
     """Exhaustive lattice search for the orthogonal pair with the fewest
     total blocks; trivial pairs (involving the singleton or the one-block
-    partition) are excluded.  Deterministic tie-break on block signatures."""
-    parts = enumerate_sp_partitions(m, cap)
-    n_states = len(m.states)
-    candidates = [p for p in parts if _nontrivial(p, n_states)]
+    partition) are excluded.  Deterministic tie-break on block signatures.
+    Candidates go by block count: an orthogonal pair needs
+    ``|pi_1| * |pi_2| >= n``, and a pair past the best total is skipped
+    with all that follow it."""
+    n = len(m.states)
+    candidates = sorted((len(p), p.signature(), p)
+                        for p in enumerate_sp_partitions(m, cap) if 1 < len(p) < n)
     best = None
     best_key = None
-    for p1 in candidates:
-        for p2 in candidates:
+    for len1, sig1, p1 in candidates:
+        for len2, sig2, p2 in candidates:
+            if len1 * len2 < n:
+                continue
+            if best_key is not None and len1 + len2 > best_key[0]:
+                break
             if not is_orthogonal(p1, p2):
                 continue
-            key = (len(p1) + len(p2), p1.signature(), p2.signature())
+            key = (len1 + len2, sig1, sig2)
             if best_key is None or key < best_key:
                 best, best_key = PartitionPair(p1, p2), key
     if best is None:
@@ -255,13 +236,9 @@ def build_independent(m: Fsm, pi_i: Partition) -> Fsm:
     transitions = {}
     output_map = {}
     for (src, sym), dst in m.transitions.items():
-        b1 = pi_i.number(pi_i.block_of(src))
-        b2 = pi_i.number(pi_i.block_of(dst))
-        key = (b1, sym)
-        if key in transitions and transitions[key] != b2:
-            raise PartitionError("blockwise lift is inconsistent")
-        transitions[key] = b2
-        output_map[key] = pair_symbol(sym, b1)
+        key = (pi_i.block(src), sym)
+        transitions[key] = pi_i.block(dst)
+        output_map[key] = pair_symbol(sym, key[0])
     outputs = tuple(
         pair_symbol(sym, b) for sym in m.inputs for b in range(len(pi_i))
     )
@@ -269,46 +246,34 @@ def build_independent(m: Fsm, pi_i: Partition) -> Fsm:
         states=frozenset(range(len(pi_i))),
         inputs=m.inputs,
         outputs=outputs,
-        reset=pi_i.number(pi_i.block_of(m.reset)),
+        reset=pi_i.block(m.reset),
         transitions=transitions,
         output_map=output_map,
     )
 
 
-def chi(b_i: frozenset[int], b_d: frozenset[int]) -> int:
-    """Unique common state of two blocks from an orthogonal pair."""
-    common = b_i & b_d
-    if len(common) != 1:
-        raise IncompatibleBlocksError(
-            f"blocks {sorted(b_i)} and {sorted(b_d)} share {len(common)} states"
-        )
-    return next(iter(common))
-
-
 def build_dependent(m: Fsm, pair: PartitionPair) -> Fsm:
     """Blockwise lift over the dependent partition; consumes (input,
     independent block) pairs and outputs the original machine's current
-    state, recovered through the block intersection."""
+    state, the one state in both blocks."""
     pi_i, pi_d = pair.pi_i, pair.pi_d
     if not is_input_preserving(m, pi_d):
         raise PartitionError("dependent partition is not input-preserving")
     if not is_orthogonal(pi_i, pi_d):
         raise PartitionError("partition pair is not orthogonal")
+    common = {(v, d): s for s, v, d in zip(pi_d.states, pi_i.assign, pi_d.assign)}
     lifted = {}
     for (src, sym), dst in m.transitions.items():
-        d1 = pi_d.number(pi_d.block_of(src))
-        d2 = pi_d.number(pi_d.block_of(dst))
-        lifted[(d1, sym)] = d2
+        lifted[(pi_d.block(src), sym)] = pi_d.block(dst)
     transitions = {}
     output_map = {}
     for (d1, sym), d2 in lifted.items():
         for v in range(len(pi_i)):
-            inter = pi_i.blocks[v] & pi_d.blocks[d1]
-            if not inter:
+            if (v, d1) not in common:
                 continue
             key = (d1, pair_symbol(sym, v))
             transitions[key] = d2
-            output_map[key] = str(chi(pi_i.blocks[v], pi_d.blocks[d1]))
+            output_map[key] = str(common[(v, d1)])
     inputs = tuple(
         pair_symbol(sym, v) for sym in m.inputs for v in range(len(pi_i))
     )
@@ -316,7 +281,7 @@ def build_dependent(m: Fsm, pair: PartitionPair) -> Fsm:
         states=frozenset(range(len(pi_d))),
         inputs=inputs,
         outputs=tuple(str(s) for s in sorted(m.states)),
-        reset=pi_d.number(pi_d.block_of(m.reset)),
+        reset=pi_d.block(m.reset),
         transitions=transitions,
         output_map=output_map,
     )
@@ -324,7 +289,7 @@ def build_dependent(m: Fsm, pair: PartitionPair) -> Fsm:
 
 def format_partition(pi: Partition) -> str:
     """One block per line, comma-separated state ids."""
-    return "\n".join(",".join(str(s) for s in sorted(b)) for b in pi.blocks) + "\n"
+    return "\n".join(",".join(map(str, b)) for b in pi.signature()) + "\n"
 
 
 def parse_partition(text: str) -> Partition:

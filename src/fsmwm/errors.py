@@ -36,10 +36,6 @@ class PartitionError(FsmwmError):
     """Partition does not satisfy the required property."""
 
 
-class IncompatibleBlocksError(FsmwmError):
-    """Block intersection empty where a unique common state was required."""
-
-
 class CapExceededError(FsmwmError):
     """Machine too large for exhaustive lattice search."""
 

@@ -33,33 +33,27 @@ def longest_simple_path(g: ConnGraph) -> Path:
     Maximal under (length, sequence) with vertices ordered by ascending
     id; neighbors are explored in descending order so the first
     full-length path found is already the lexical maximum, which lets the
-    search stop early on Hamiltonian paths.
+    search stop early on Hamiltonian paths.  The search keeps one
+    successor iterator per path vertex, so path length is not bounded by
+    the interpreter's recursion limit.
     """
     n = len(g.vertices)
     succ = {v: sorted(g.successors(v), reverse=True) for v in g.vertices}
     best: list[int] = [g.root]
     stack = [g.root]
     on_path = {g.root}
-
-    def walk():
-        nonlocal best
-        if len(stack) > len(best) or (len(stack) == len(best) and stack > best):
-            best = list(stack)
-        if len(best) == n:
-            return True
-        for w in succ[stack[-1]]:
-            if w in on_path:
-                continue
+    pending = [iter(succ[g.root])]
+    while pending and len(best) < n:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
+            on_path.discard(stack.pop())
+        elif w not in on_path:
             stack.append(w)
             on_path.add(w)
-            done = walk()
-            on_path.discard(w)
-            stack.pop()
-            if done:
-                return True
-        return False
-
-    walk()
+            pending.append(iter(succ[w]))
+            if len(stack) > len(best) or (len(stack) == len(best) and stack > best):
+                best = list(stack)
     return Path(tuple(best))
 
 

@@ -105,13 +105,20 @@ def parse_transcript(text: str) -> Transcript:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FsmwmError("empty transcript")
-    n_b, chi, omega, seed = (int(x) for x in lines[0].split())
+    try:
+        n_b, chi, omega, seed = (int(x) for x in lines[0].split())
+    except ValueError as e:
+        raise FsmwmError(f"malformed transcript header {lines[0]!r}") from e
     t = Transcript(n_b, chi, omega, seed)
     for expect, ln in enumerate(lines[1:]):
-        idx, tms, tdi, tdo, st = ln.split()
-        if int(idx) != expect:
+        try:
+            idx, tms, tdi, tdo, st = ln.split()
+            record = (int(idx), int(tms), int(tdi), int(tdo), st)
+        except ValueError as e:
+            raise FsmwmError(f"malformed transcript record {ln!r}") from e
+        if record[0] != expect:
             raise FsmwmError("cycle indices must be consecutive from 0")
-        t.records.append((int(idx), int(tms), int(tdi), int(tdo), st))
+        t.records.append(record)
     return t
 
 

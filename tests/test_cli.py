@@ -143,6 +143,23 @@ def test_attack_command(host_file, tmp_path, capsys):
     parse_fsm(out.read_text())
 
 
+@pytest.mark.parametrize("bad_line", [0, 1])
+def test_decode_scan_malformed_transcript_exits_3(host_file, tmp_path, capsys,
+                                                  bad_line):
+    lk = tmp_path / "lk.json"
+    assert main(["lprk", host_file, "-n", "3", "-k", "2", "-o", str(lk)]) == 0
+    t = tmp_path / "t.txt"
+    assert main(["scan-test", str(lk), "--chi", "1", "--omega", "8",
+                 "--steps", "3", "-o", str(t)]) == 0
+    lines = t.read_text().splitlines()
+    lines[bad_line] = ["8 1 7", "0 1 x 0 Shift"][bad_line]
+    t.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["decode-scan", str(t)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_config_defaults_flags_win(host_file, tmp_path):
     p1 = tmp_path / "p1.json"
     s1 = tmp_path / "s1.json"

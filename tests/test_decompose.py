@@ -4,7 +4,7 @@ import pytest
 
 from fsmwm import (
     CapExceededError,
-    IncompatibleBlocksError,
+    Fsm,
     LprkSpec,
     Partition,
     PartitionError,
@@ -21,10 +21,9 @@ from fsmwm import (
     is_orthogonal,
     lpr_k,
     minimal_decomposition,
-    partition_dot,
     run,
 )
-from fsmwm.decompose import chi, format_partition, parse_partition
+from fsmwm.decompose import format_partition, parse_partition
 from fsmwm.errors import NoNontrivialDecompositionError
 from conftest import make_host8, random_machine
 
@@ -32,8 +31,10 @@ from conftest import make_host8, random_machine
 def _oracle_is_sp(m, pi):
     """Independent input-preserving check: for every input, the image of
     each block must land inside a single block, with uniform definedness."""
+    blocks = pi.signature()
+    where = {s: i for i, block in enumerate(blocks) for s in block}
     for sym in m.inputs:
-        for block in pi.blocks:
+        for block in blocks:
             images = set()
             holes = 0
             for s in block:
@@ -41,7 +42,7 @@ def _oracle_is_sp(m, pi):
                 if t is None:
                     holes += 1
                 else:
-                    images.add(pi.block_of(t))
+                    images.add(where[t])
             if holes not in (0, len(block)) or len(images) > 1:
                 return False
     return True
@@ -61,28 +62,55 @@ def _oracle_set_partitions(items):
     return out
 
 
+def _oracle_orthogonal(p1, p2):
+    """Every block of one meets every block of the other in at most one state."""
+    return all(len(set(b1) & set(b2)) <= 1
+               for b1 in p1.signature() for b2 in p2.signature())
+
+
+def _oracle_minimal_pair(m):
+    """Brute-force pair search over the oracle's lattice: the nontrivial
+    orthogonal SP pair with the least (total blocks, signatures), or None."""
+    n = len(m.states)
+    parts = [Partition.of(p) for p in _oracle_set_partitions(sorted(m.states))]
+    parts = [p for p in parts if 1 < len(p) < n and _oracle_is_sp(m, p)]
+    keys = [(len(a) + len(b), a.signature(), b.signature())
+            for a in parts for b in parts if _oracle_orthogonal(a, b)]
+    return min(keys)[1:] if keys else None
+
+
 def test_partition_validation():
     with pytest.raises(PartitionError):
         Partition.of([{1, 2}, {2, 3}])
     with pytest.raises(PartitionError):
         Partition.of([set()])
     with pytest.raises(PartitionError):
-        Partition((frozenset({5}), frozenset({1})))  # unsorted blocks
+        Partition((1, 5), (1, 0))  # blocks not numbered by minimum element
+    with pytest.raises(PartitionError):
+        Partition((5, 1), (0, 1))  # states not ascending
+    with pytest.raises(PartitionError):
+        Partition((1, 5), (0,))
 
 
 def test_partition_numbering_by_minimum():
     p = Partition.of([{4, 5}, {0, 9}, {2}])
-    assert p.number(frozenset({0, 9})) == 0
-    assert p.number(frozenset({2})) == 1
-    assert p.number(frozenset({4, 5})) == 2
+    assert (p.states, p.assign) == ((0, 2, 4, 5, 9), (0, 1, 2, 2, 0))
+    assert p.block(0) == p.block(9) == 0
+    assert p.block(2) == 1
+    assert p.block(4) == p.block(5) == 2
+    assert p.signature() == ((0, 9), (2,), (4, 5))
+    assert len(p) == 3
+    with pytest.raises(PartitionError):
+        p.block(3)
 
 
-def test_partition_dot_hand_example():
+def test_orthogonal_hand_example():
     a = Partition.of([{0, 1}, {2, 3}])
     b = Partition.of([{0, 2}, {1, 3}])
-    assert partition_dot(a, b).signature() == ((0,), (1,), (2,), (3,))
     assert is_orthogonal(a, b)
     assert not is_orthogonal(a, a)
+    with pytest.raises(PartitionError):
+        is_orthogonal(a, Partition.of([{0, 1}, {2}]))
 
 
 def test_is_input_preserving_matches_oracle(rng):
@@ -94,15 +122,101 @@ def test_is_input_preserving_matches_oracle(rng):
 
 
 def test_enumerate_sp_matches_oracle(rng):
-    for _ in range(15):
-        m = random_machine(rng, rng.randint(2, 5), 2, total=False)
-        want = {
-            Partition.of(p).signature()
-            for p in _oracle_set_partitions(sorted(m.states))
-            if _oracle_is_sp(m, Partition.of(p))
-        }
-        got = {p.signature() for p in enumerate_sp_partitions(m)}
-        assert got == want
+    for total in (True, False):
+        for _ in range(15):
+            m = random_machine(rng, rng.randint(1, 7), 2, total=total)
+            want = {
+                Partition.of(p).signature()
+                for p in _oracle_set_partitions(sorted(m.states))
+                if _oracle_is_sp(m, Partition.of(p))
+            }
+            got = [p.signature() for p in enumerate_sp_partitions(m)]
+            assert len(got) == len(set(got))
+            assert set(got) == want
+
+
+def _product_machine(rng, a, b):
+    """Random machine on a*b states built as a product of an a-state and
+    a b-state machine, with state ids shuffled: it has an orthogonal SP
+    pair by construction."""
+    left = random_machine(rng, a, 2)
+    right = random_machine(rng, b, 2)
+    ids = rng.sample(range(3 * a * b), a * b)
+    tr = {}
+    om = {}
+    for i in range(a):
+        for j in range(b):
+            for sym in ("0", "1"):
+                src = ids[i * b + j]
+                dst = (left.transitions[(i, sym)], right.transitions[(j, sym)])
+                tr[(src, sym)] = ids[dst[0] * b + dst[1]]
+                om[(src, sym)] = left.output_map[(i, sym)]
+    return Fsm(frozenset(ids), ("0", "1"), left.outputs, ids[0], tr, om)
+
+
+def test_minimal_decomposition_matches_oracle(rng):
+    machines = [random_machine(rng, rng.randint(2, 6), 2, total=t)
+                for t in (True, False) for _ in range(10)]
+    machines += [_product_machine(rng, a, b)
+                 for a, b in [(2, 2), (2, 3), (3, 2)] for _ in range(4)]
+    decomposable = 0
+    for m in machines:
+        want = _oracle_minimal_pair(m)
+        try:
+            pair = minimal_decomposition(m)
+        except NoNontrivialDecompositionError:
+            assert want is None
+        else:
+            assert (pair.pi_i.signature(), pair.pi_d.signature()) == want
+            decomposable += 1
+    assert decomposable >= 12
+
+
+# (n, k) -> (pi_i, pi_d) signatures that minimal_decomposition returned for
+# every host8 reduction within the default cap, recorded before partitions
+# became block-assignment arrays; None where it raised
+# NoNontrivialDecompositionError.
+GOLDEN_PAIRS = {
+    (1, 1): None,
+    (1, 2): None,
+    (1, 3): (((0,), (2, 3), (4,)), ((0, 2), (3,), (4,))),
+    (1, 4): (((0, 1), (2, 3), (4,)), ((0, 2), (1, 3), (4,))),
+    (2, 1): None,
+    (2, 2): (((2, 3), (8, 9), (16,)), ((2, 8), (3, 9), (16,))),
+    (2, 3): (((2, 3, 4), (8, 9, 10), (16,)),
+             ((2, 8), (3, 9), (4, 10), (16,))),
+    (2, 4): (((2, 3), (4, 5), (8, 9), (10, 11), (16,)),
+             ((2, 4, 8, 10), (3, 5, 9, 11), (16,))),
+    (3, 1): None,
+    (3, 2): (((2, 3), (8, 9), (24, 25), (32,)),
+             ((2, 8, 24), (3, 9, 25), (32,))),
+    (3, 3): (((2, 3, 4), (8, 9, 10), (24, 25, 26), (32,)),
+             ((2, 8, 24), (3, 9, 25), (4, 10, 26), (32,))),
+    (4, 1): None,
+    (4, 2): (((2, 3), (8, 9), (24, 25), (64, 65), (128,)),
+             ((2, 8, 24, 64), (3, 9, 25, 65), (128,))),
+    (5, 1): None,
+    (5, 2): (((2, 3), (8, 9), (24, 25), (33, 34), (64, 65), (128,)),
+             ((2, 8, 24, 33, 64), (3, 9, 25, 34, 65), (128,))),
+    (6, 1): None,
+}
+
+
+def test_minimal_decomposition_golden_pairs():
+    g = connectivity_graph(make_host8())
+    got = {}
+    for n in range(1, 7):
+        for k in range(1, 5):
+            redux = lpr_k(g, LprkSpec(n=n, k=k, z=find_branch_width(n, k)))
+            if len(redux.states) > 12:
+                continue
+            try:
+                pair = minimal_decomposition(redux)
+            except NoNontrivialDecompositionError:
+                got[(n, k)] = None
+            else:
+                got[(n, k)] = (pair.pi_i.signature(), pair.pi_d.signature())
+    assert got == GOLDEN_PAIRS
 
 
 def test_enumerate_cap(rng):
@@ -121,12 +235,6 @@ def test_fixed_partitions_are_sp_and_orthogonal():
         assert is_input_preserving(redux, pair.pi_i)
         assert is_input_preserving(redux, pair.pi_d)
         assert is_orthogonal(pair.pi_i, pair.pi_d)
-
-
-def test_chi_unique_intersection():
-    assert chi(frozenset({1, 2}), frozenset({2, 3})) == 2
-    with pytest.raises(IncompatibleBlocksError):
-        chi(frozenset({1}), frozenset({2}))
 
 
 def _cascade_matches_redux(redux, pair, n, k):

@@ -45,6 +45,15 @@ def test_longest_path_prefers_lexically_larger():
     assert longest_simple_path(g).vertices == (0, 2, 1)
 
 
+def test_longest_path_on_long_chain():
+    # deeper than the interpreter's recursion limit
+    from fsmwm import ConnGraph
+    n = 3000
+    g = ConnGraph(frozenset(range(n)),
+                  frozenset((v, v + 1) for v in range(n - 1)), 0)
+    assert longest_simple_path(g).vertices == tuple(range(n))
+
+
 def test_repeat_requires_positive_count():
     with pytest.raises(FsmwmError):
         repeat_path(Path((1, 2)), 0)
