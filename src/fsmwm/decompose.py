@@ -195,7 +195,7 @@ def lprk_layout(lprk: Fsm, n: int, k: int):
     columns = []
     for head in heads:
         col = [head]
-        while True:
+        while len(col) <= n:
             nxt = lprk.transitions.get((col[-1], "0"))
             if nxt is None or nxt == col[-1]:
                 break

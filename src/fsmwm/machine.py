@@ -8,6 +8,7 @@ so machines and graphs can be shared freely between threads.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +47,13 @@ class Fsm:
 
     def defined(self, state: int, sym: str) -> bool:
         return (state, sym) in self.transitions
+
+    def moves(self, state: int):
+        """(input, next state, output) per defined input, in alphabet order."""
+        for sym in self.inputs:
+            key = (state, sym)
+            if key in self.transitions:
+                yield sym, self.transitions[key], self.output_map[key]
 
 
 @dataclass(frozen=True)
@@ -124,14 +132,12 @@ def run(m: Fsm, symbols) -> tuple[list[str], int]:
     """
     state = m.reset
     out: list[str] = []
-    consumed = 0
     for sym in symbols:
         if not m.defined(state, sym):
             break
         state, o = step(m, state, sym)
         out.append(o)
-        consumed += 1
-    return out, consumed
+    return out, len(out)
 
 
 def run_states(m: Fsm, symbols) -> list[int]:
@@ -144,6 +150,21 @@ def run_states(m: Fsm, symbols) -> list[int]:
         state, _ = step(m, state, sym)
         states.append(state)
     return states
+
+
+def _reachable(start, moves):
+    """Breadth-first walk: with ``moves(s)`` yielding ``(input, next, output)``,
+    yields ``(depth, s, input, next, output)`` once per step out of each s
+    reachable from start, in nondecreasing depth, before queueing next."""
+    seen = {start}
+    queue = deque([(0, start)])
+    while queue:
+        depth, s = queue.popleft()
+        for sym, nxt, out in moves(s):
+            yield depth, s, sym, nxt, out
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((depth + 1, nxt))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +316,8 @@ def parse_kiss2(text: str) -> Fsm:
         lines.append((lineno, parts))
     if ".i" not in headers or ".o" not in headers:
         raise SemanticError("missing .i/.o header")
+    if not headers[".i"].isdecimal():
+        raise SemanticError(f".i must be a non-negative integer, not {headers['.i']!r}")
     ni = int(headers[".i"])
     name_to_id: dict[str, int] = {}
 

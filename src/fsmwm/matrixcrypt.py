@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError, DimensionError, FsmwmError
-from .machine import ConnGraph, Fsm, standard_cg_machine
+from .machine import ConnGraph, Fsm, _reachable, standard_cg_machine
 from .reduction import chain_of
 
 
@@ -140,29 +140,22 @@ def compose_cascade(front: Fsm, back: Fsm) -> Fsm:
         raise AlphabetMismatchError(
             "front output alphabet is not contained in back input alphabet"
         )
+
+    def moves(pair):
+        sf, sb = pair
+        for sym, nf, of in front.moves(sf):
+            key = (sb, of)
+            if key in back.transitions:
+                yield sym, (nf, back.transitions[key]), back.output_map[key]
+
     start = (front.reset, back.reset)
     numbering = {start: 0}
-    queue = [start]
     transitions = {}
     output_map = {}
-    while queue:
-        pair = queue.pop(0)
-        sf, sb = pair
-        for sym in front.inputs:
-            if not front.defined(sf, sym):
-                continue
-            nf = front.transitions[(sf, sym)]
-            of = front.output_map[(sf, sym)]
-            if not back.defined(sb, of):
-                continue
-            nb = back.transitions[(sb, of)]
-            ob = back.output_map[(sb, of)]
-            nxt = (nf, nb)
-            if nxt not in numbering:
-                numbering[nxt] = len(numbering)
-                queue.append(nxt)
-            transitions[(numbering[pair], sym)] = numbering[nxt]
-            output_map[(numbering[pair], sym)] = ob
+    for _, pair, sym, nxt, out in _reachable(start, moves):
+        key = (numbering[pair], sym)
+        transitions[key] = numbering.setdefault(nxt, len(numbering))
+        output_map[key] = out
     return Fsm(
         states=frozenset(numbering.values()),
         inputs=front.inputs,

@@ -13,6 +13,7 @@ from .machine import Fsm
 
 LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
 _NEXT = {LATCH: SHIFT, SHIFT: ASSERT, ASSERT: LATCH}
+_BIT = {"0": 0, "1": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +110,18 @@ def parse_transcript(text: str) -> Transcript:
         n_b, chi, omega, seed = (int(x) for x in lines[0].split())
     except ValueError as e:
         raise FsmwmError(f"malformed transcript header {lines[0]!r}") from e
+    if chi < 0 or omega < 0 or n_b != chi + omega or n_b < 1:
+        raise FsmwmError(f"transcript header {lines[0]!r} needs "
+                         "chi, omega >= 0 and n_b = chi + omega >= 1")
     t = Transcript(n_b, chi, omega, seed)
     for expect, ln in enumerate(lines[1:]):
         try:
             idx, tms, tdi, tdo, st = ln.split()
-            record = (int(idx), int(tms), int(tdi), int(tdo), st)
-        except ValueError as e:
+            record = (int(idx), _BIT[tms], _BIT[tdi], _BIT[tdo], st)
+        except (KeyError, ValueError) as e:
             raise FsmwmError(f"malformed transcript record {ln!r}") from e
+        if st not in _NEXT:
+            raise FsmwmError(f"unknown TAP state in transcript record {ln!r}")
         if record[0] != expect:
             raise FsmwmError("cycle indices must be consecutive from 0")
         t.records.append(record)

@@ -13,7 +13,9 @@ from .errors import (
     InconsistentTranscriptError,
     SemanticError,
 )
-from .machine import Fsm, _dump_doc, _field, _load_doc, fsm_from_doc, fsm_to_doc, run
+from .machine import (
+    Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, fsm_to_doc, run, step,
+)
 from .matrixcrypt import compose_cascade
 from .reduction import branch_input_bits
 
@@ -190,10 +192,7 @@ class FsmOracle:
         self.steps += 1
         if not self._machine.defined(self._state, sym):
             return None
-        self._state, out = (
-            self._machine.transitions[(self._state, sym)],
-            self._machine.output_map[(self._state, sym)],
-        )
+        self._state, out = step(self._machine, self._state, sym)
         return out
 
 
@@ -295,22 +294,22 @@ def adversarial_extension(transcript, j: int) -> Fsm:
     finite observation."""
     runs = _normalize_runs(transcript)
     observed_outputs: set[str] = set()
-    root: dict = {}
+    # Prefix tree, numbered as it grows: a new edge gets the next id.
+    transitions: dict[tuple[int, str], int] = {}
+    output_map: dict[tuple[int, str], str] = {}
     for r in runs:
-        node = root
+        node = 0
         for sym, out in r:
             observed_outputs.add(out)
-            if sym in node:
-                prev_out, child = node[sym]
-                if prev_out != out:
-                    raise InconsistentTranscriptError(
-                        f"input {sym!r} seen with outputs {prev_out!r} and {out!r}"
-                    )
-                node = child
-            else:
-                child: dict = {}
-                node[sym] = (out, child)
-                node = child
+            key = (node, sym)
+            if key not in transitions:
+                transitions[key] = len(transitions) + 1
+                output_map[key] = out
+            elif output_map[key] != out:
+                raise InconsistentTranscriptError(
+                    f"input {sym!r} seen with outputs {output_map[key]!r} and {out!r}"
+                )
+            node = transitions[key]
     if len(observed_outputs) != j:
         raise FsmwmError(
             f"transcript shows {len(observed_outputs)} outputs, caller claims {j}"
@@ -319,47 +318,13 @@ def adversarial_extension(transcript, j: int) -> Fsm:
     while fresh in observed_outputs:
         fresh += "'"
     syms = sorted({sym for r in runs for sym, _ in r}) or ["0"]
-
-    if not any(runs):
-        transitions = {(0, syms[0]): 0}
-        output_map = {(0, syms[0]): fresh}
-        return Fsm(
-            states=frozenset([0]),
-            inputs=tuple(syms),
-            outputs=(fresh,),
-            reset=0,
-            transitions=transitions,
-            output_map=output_map,
-        )
-
-    numbering: dict[int, dict] = {}
-    transitions = {}
-    output_map = {}
-
-    def number(node: dict) -> int:
-        nid = len(numbering)
-        numbering[nid] = node
-        return nid
-
-    stack = [(number(root), root)]
-    leaves = []
-    while stack:
-        nid, node = stack.pop()
-        if not node:
-            leaves.append(nid)
-        for sym, (out, child) in sorted(node.items()):
-            cid = number(child)
-            transitions[(nid, sym)] = cid
-            output_map[(nid, sym)] = out
-            stack.append((cid, child))
-    extra = len(numbering)
-    first_leaf = min(leaves)
-    transitions[(first_leaf, syms[0])] = extra
-    output_map[(first_leaf, syms[0])] = fresh
-    transitions[(extra, syms[0])] = extra
-    output_map[(extra, syms[0])] = fresh
+    extra = len(transitions) + 1
+    leaf = min(set(range(extra)) - {src for src, _ in transitions})
+    for src in (leaf, extra):
+        transitions[(src, syms[0])] = extra
+        output_map[(src, syms[0])] = fresh
     return Fsm(
-        states=frozenset(list(range(len(numbering))) + [extra]),
+        states=frozenset(range(extra + 1)),
         inputs=tuple(syms),
         outputs=tuple(sorted(observed_outputs)) + (fresh,),
         reset=0,
@@ -369,19 +334,7 @@ def adversarial_extension(transcript, j: int) -> Fsm:
 
 
 def reachable_outputs(m: Fsm) -> set[str]:
-    seen = {m.reset}
-    queue = [m.reset]
-    outs = set()
-    while queue:
-        s = queue.pop()
-        for sym in m.inputs:
-            if m.defined(s, sym):
-                outs.add(m.output_map[(s, sym)])
-                t = m.transitions[(s, sym)]
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return outs
+    return {out for *_, out in _reachable(m.reset, m.moves)}
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +388,21 @@ def bounded_equiv(m1: Fsm, m2: Fsm, depth: int) -> bool:
     reachable product, which covers every string exhaustively."""
     if set(m1.inputs) != set(m2.inputs):
         raise AlphabetMismatchError("machines have different input alphabets")
-    frontier = {(m1.reset, m2.reset)}
-    seen = set(frontier)
-    for _ in range(depth):
-        nxt = set()
-        for s1, s2 in frontier:
-            for sym in m1.inputs:
-                d1, d2 = m1.defined(s1, sym), m2.defined(s2, sym)
-                if d1 != d2:
-                    return False
-                if not d1:
-                    continue
-                if m1.output_map[(s1, sym)] != m2.output_map[(s2, sym)]:
-                    return False
-                pair = (m1.transitions[(s1, sym)], m2.transitions[(s2, sym)])
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.add(pair)
-        frontier = nxt
-        if not frontier:
+
+    def moves(pair):
+        s1, s2 = pair
+        for sym in m1.inputs:
+            k1, k2 = (s1, sym), (s2, sym)
+            if k1 in m1.transitions or k2 in m2.transitions:
+                yield (sym, (m1.transitions.get(k1), m2.transitions.get(k2)),
+                       (m1.output_map.get(k1), m2.output_map.get(k2)))
+
+    # A step at depth d ends a string of length d + 1; a hole shows None.
+    for d, *_, (o1, o2) in _reachable((m1.reset, m2.reset), moves):
+        if d >= depth:
             break
+        if o1 != o2:
+            return False
     return True
 
 

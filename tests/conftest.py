@@ -5,6 +5,7 @@ constructions wherever it serves as an oracle.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -77,6 +78,11 @@ def random_machine(rng: random.Random, n_states: int, n_inputs: int,
                 tr[(s, sym)] = rng.randrange(n_states)
                 om[(s, sym)] = rng.choice(outputs)
     return Fsm(frozenset(range(n_states)), inputs, outputs, 0, tr, om)
+
+
+def all_strings(inputs, n: int):
+    """Every input string of length at most n, shortest first."""
+    return [list(w) for length in range(n + 1) for w in product(inputs, repeat=length)]
 
 
 def all_simple_paths_from(g: ConnGraph, start: int):

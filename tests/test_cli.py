@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fsmwm import format_fsm, parse_fsm
+from fsmwm import Fsm, format_fsm, parse_fsm
 from fsmwm.cli import main
 from conftest import make_host8
 
@@ -114,6 +114,17 @@ def test_decompose_and_validate(host_file, tmp_path):
                  "--pi-d", str(files["pi_d.txt"])]) == 1
 
 
+def test_decompose_fixed_cyclic_ticks_exits_3(tmp_path, capsys):
+    # The branch's tick chain 1 -> 2 -> 1 never settles on a self-loop.
+    keys = [(0, "0"), (0, "1"), (1, "0"), (2, "0")]
+    m = Fsm(frozenset(range(3)), ("0", "1"), ("0",), 0,
+            dict(zip(keys, [1, 1, 2, 1])), dict.fromkeys(keys, "0"))
+    src = tmp_path / "cyc.json"
+    src.write_text(format_fsm(m))
+    assert main(["decompose", str(src), "--mode", "fixed", "-n", "2", "-k", "1"]) == 3
+    assert "error: branch length 3 != n=2" in capsys.readouterr().err
+
+
 def test_decompose_optimal_cap_refusal(host_file, tmp_path, capsys):
     lk = tmp_path / "lk.json"
     assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
@@ -143,16 +154,32 @@ def test_attack_command(host_file, tmp_path, capsys):
     parse_fsm(out.read_text())
 
 
-@pytest.mark.parametrize("bad_line", [0, 1])
+@pytest.mark.parametrize("bad_line, field, text", [
+    (0, None, "8 1 7"),
+    (1, None, "0 1 x 0 Shift"),
+    (0, None, "0 1 7 0"),
+    (0, None, "-3 1 7 0"),
+    (0, None, "11 2 8 0"),
+    (-1, 3, "2"),
+    (-1, 4, "Foo"),
+], ids=["0", "1", "zero-width", "negative-width", "width-not-chi-plus-omega",
+        "tdo-2", "unknown-tap-state"])
 def test_decode_scan_malformed_transcript_exits_3(host_file, tmp_path, capsys,
-                                                  bad_line):
+                                                  bad_line, field, text):
     lk = tmp_path / "lk.json"
     assert main(["lprk", host_file, "-n", "3", "-k", "2", "-o", str(lk)]) == 0
     t = tmp_path / "t.txt"
     assert main(["scan-test", str(lk), "--chi", "1", "--omega", "8",
                  "--steps", "3", "-o", str(t)]) == 0
     lines = t.read_text().splitlines()
-    lines[bad_line] = ["8 1 7", "0 1 x 0 Shift"][bad_line]
+    # The last record is a Latch cycle, which decoding would skip over.
+    assert lines[-1].endswith(" Latch")
+    if field is None:
+        lines[bad_line] = text
+    else:
+        fields = lines[bad_line].split()
+        fields[field] = text
+        lines[bad_line] = " ".join(fields)
     t.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["decode-scan", str(t)]) == 3
@@ -182,6 +209,9 @@ def test_bad_input_exit_code(tmp_path):
     bad.write_text("{broken")
     assert main(["extract-cg", str(bad)]) == 3
     assert main(["extract-cg", str(tmp_path / "missing.json")]) == 3
+    kiss = tmp_path / "bad.kiss2"
+    kiss.write_text(".i x\n.o 1\n.r a\n0 a b 1\n1 b a 0\n")
+    assert main(["extract-cg", str(kiss)]) == 3
 
 
 def test_usage_error_exit_code():

@@ -21,7 +21,8 @@ from fsmwm import (
     standard_cg_machine,
     step,
 )
-from conftest import random_graph
+from fsmwm.machine import _reachable
+from conftest import all_strings, random_graph, random_machine
 
 
 def test_fsm_rejects_unknown_reset():
@@ -88,6 +89,25 @@ def test_run_states_includes_reset():
     g = ConnGraph(frozenset([1, 2, 3]), frozenset([(1, 2), (2, 3)]), 1)
     m = standard_cg_machine(g)
     assert run_states(m, ["0", "0", "0"]) == [1, 2, 3]
+
+
+def test_reachable_walk_is_breadth_first(rng):
+    for _ in range(40):
+        m = random_machine(rng, rng.randint(1, 6), rng.randint(1, 3),
+                           total=rng.random() < 0.5)
+        dist = {}
+        for w in all_strings(m.inputs, len(m.states) - 1):
+            states = run_states(m, w)
+            if len(states) == len(w) + 1:
+                dist.setdefault(states[-1], len(w))
+        steps = list(_reachable(m.reset, m.moves))
+        assert sorted((s, sym) for _, s, sym, _, _ in steps) == sorted(
+            key for key in m.transitions if key[0] in dist)
+        for depth, s, sym, nxt, out in steps:
+            assert depth == dist[s]
+            assert (nxt, out) == step(m, s, sym)
+        depths = [depth for depth, *_ in steps]
+        assert depths == sorted(depths)
 
 
 def test_fsm_json_round_trip(host8):

@@ -1,18 +1,24 @@
 """Permutation-key concealment, traces and the decryption cascade."""
 
+import hashlib
+
 import pytest
 
 from fsmwm import (
     AlphabetMismatchError,
     ConnGraph,
     DimensionError,
+    Fsm,
     PermKey,
+    build_decomp_bundle,
     build_decryption_machine,
+    build_matrix_bundle,
     build_watermark_machine,
     compose_cascade,
     connectivity_graph,
     decrypt_graph,
     encrypt_graph,
+    format_fsm,
     lpr,
     random_perm_key,
     relabel_graph,
@@ -21,7 +27,16 @@ from fsmwm import (
     trace_pair,
 )
 from fsmwm.matrixcrypt import format_key, parse_key
-from conftest import bool_matmul, dense, key_matrix, random_graph, transpose
+from conftest import (
+    all_strings,
+    bool_matmul,
+    dense,
+    key_matrix,
+    make_host8,
+    random_graph,
+    random_machine,
+    transpose,
+)
 
 
 def _chain(ids):
@@ -137,6 +152,52 @@ def test_cascade_alphabet_mismatch():
     b = standard_cg_machine(_chain([5, 6]))
     with pytest.raises(AlphabetMismatchError):
         compose_cascade(a, b)
+
+
+# sha256 of format_fsm(compose_cascade(package.watermark, secret.decoder))
+# for three host8 bundles, recorded before the cascade moved onto the
+# shared breadth-first walk: product states must keep their numbering.
+CASCADE_GOLDEN = {
+    "fixed-4-3": "8f6dda3e13de227c1f76ac94e6088ca95381c75d01d66092efd42b2c1d961c4a",
+    "optimal-2-2": "9c25853397d35b66be1617b5bd44b07dcab85a1bb74bc3b4dbf75d0ecda0951e",
+    "matrix-6": "dec9d0effb9a305dc088102d190585b03ebdb64fd86405b3aad77fc727607c79",
+}
+
+
+def test_cascade_golden_digests():
+    host = make_host8()
+    bundles = {
+        "fixed-4-3": build_decomp_bundle(host, 4, 3, mode="fixed"),
+        "optimal-2-2": build_decomp_bundle(host, 2, 2, mode="optimal"),
+        "matrix-6": build_matrix_bundle(host, 6, key_seed=2718)[:2],
+    }
+    got = {
+        name: hashlib.sha256(format_fsm(
+            compose_cascade(package.watermark, secret.decoder)).encode()).hexdigest()
+        for name, (package, secret) in bundles.items()
+    }
+    assert got == CASCADE_GOLDEN
+
+
+def _with_inputs(m: Fsm, syms) -> Fsm:
+    """m with its i-th input symbol renamed to syms[i]."""
+    ren = dict(zip(m.inputs, syms))
+    return Fsm(m.states, tuple(syms), m.outputs, m.reset,
+               {(s, ren[a]): t for (s, a), t in m.transitions.items()},
+               {(s, ren[a]): o for (s, a), o in m.output_map.items()})
+
+
+def test_cascade_matches_runs_of_both_machines(rng):
+    for _ in range(60):
+        total = rng.random() < 0.5
+        front = random_machine(rng, rng.randint(1, 5), rng.randint(1, 3),
+                               n_outputs=rng.randint(1, 3), total=total)
+        back = _with_inputs(
+            random_machine(rng, rng.randint(1, 5), len(front.outputs), total=total),
+            front.outputs)
+        cascade = compose_cascade(front, back)
+        for w in all_strings(front.inputs, 4):
+            assert run(cascade, w)[0] == run(back, run(front, w)[0])[0]
 
 
 def test_key_format_round_trip(rng):

@@ -30,7 +30,7 @@ from fsmwm.verify import (
     parse_secret,
     reachable_outputs,
 )
-from conftest import make_host8, random_machine
+from conftest import all_strings, make_host8, random_machine
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,18 @@ def test_adversarial_extension_multi_run():
 def test_adversarial_extension_empty():
     m = adversarial_extension([], 0)
     assert len(reachable_outputs(m)) == 1
+    assert m.states == frozenset([0, 1])
+
+
+def test_adversarial_extension_numbers_tree_as_built():
+    runs = [[("0", "x"), ("0", "y")], [("0", "x"), ("1", "x")]]
+    m = adversarial_extension(runs, 2)
+    # Each new edge takes the next id; the extra state 4 hangs off the
+    # lowest-numbered leaf, 2.
+    assert m.transitions == {(0, "0"): 1, (1, "0"): 2, (1, "1"): 3,
+                             (2, "0"): 4, (4, "0"): 4}
+    assert m.states == frozenset(range(5))
+    assert m.output_map[(2, "0")] == m.output_map[(4, "0")] == "extra"
 
 
 def test_adversarial_extension_rejects_conflict():
@@ -180,6 +192,15 @@ def test_adversarial_extension_fresh_name_avoids_clash():
     m = adversarial_extension([("0", "extra")], 1)
     assert len(reachable_outputs(m)) == 2
     assert "extra'" in m.outputs
+
+
+def test_reachable_outputs_matches_runs(rng):
+    for _ in range(60):
+        m = random_machine(rng, rng.randint(1, 5), rng.randint(1, 3),
+                           total=rng.random() < 0.5)
+        # Every reachable step ends some string of length <= |states|.
+        want = {o for w in all_strings(m.inputs, len(m.states)) for o in run(m, w)[0]}
+        assert reachable_outputs(m) == want
 
 
 def test_estimate_output_count_lower_bound(rng):
@@ -201,6 +222,20 @@ def test_bounded_equiv_detects_divergence():
     assert bounded_equiv(a, b, 1)
     assert not bounded_equiv(a, b, 2)
     assert not full_equiv(a, b)
+
+
+def test_bounded_equiv_matches_output_strings(rng):
+    verdicts = set()
+    for _ in range(80):
+        n_inputs, n_outputs = rng.randint(1, 3), rng.randint(1, 2)
+        total = rng.random() < 0.5
+        a, b = (random_machine(rng, rng.randint(1, 5), n_inputs, n_outputs, total)
+                for _ in range(2))
+        for d in range(5):
+            want = all(run(a, w) == run(b, w) for w in all_strings(a.inputs, d))
+            assert bounded_equiv(a, b, d) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_bounded_equiv_definedness_mismatch():
