@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification verdict, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -199,18 +200,27 @@ def _build_parser():
     return parser, sps
 
 
-def _merge_config(parser, sps, argv):
-    probe, _ = parser.parse_known_args(argv)
-    if not getattr(probe, "config", None):
-        return parser.parse_args(argv)
-    with open(probe.config, "r", encoding="utf-8") as f:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every call in this process shares."""
+    return _build_parser()[0]
+
+
+def _parse_args(argv):
+    """Parse on the shared parser; with ``--config``, parse again on a fresh
+    parser whose subcommand defaults come from the file, so explicit flags
+    still win and no default outlives the call."""
+    args = _parser().parse_args(argv)
+    if not args.config:
+        return args
+    with open(args.config, "r", encoding="utf-8") as f:
         config = json.load(f)
     if not isinstance(config, dict):
         raise FsmwmError("config file must hold a JSON object")
-    sp = sps.get(probe.cmd)
-    if sp is not None:
-        dests = {a.dest for a in sp._actions}
-        sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+    parser, sps = _build_parser()
+    sp = sps[args.cmd]
+    dests = {a.dest for a in sp._actions}
+    sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser.parse_args(argv)
 
 
@@ -309,10 +319,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, sps = _build_parser()
     try:
-        args = _merge_config(parser, sps, argv)
-        return _run(args)
+        return _run(_parse_args(argv))
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

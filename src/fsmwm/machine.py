@@ -185,23 +185,33 @@ def _load_doc(text: str, kind: str | None = None) -> dict:
 
 
 def _dump_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, where a
+    top-level ``Fsm`` value stands for its machine document."""
+    items = []
+    for key in sorted(doc):
+        value = doc[key]
+        text = _fsm_text(value) if isinstance(value, Fsm) else \
+            json.dumps(value, sort_keys=True, indent=2)
+        # A JSON string holds no raw newline, so this only indents lines.
+        items.append(f"  {json.dumps(key)}: " + text.replace("\n", "\n  "))
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _field(doc: dict, key: str, kind: type):
-    """``doc[key]``, checked present and of the given type."""
+    """``doc[key]``, checked present and of the given type; a JSON boolean
+    is never taken for an integer."""
     try:
         value = doc[key]
     except KeyError:
         raise SemanticError(f"missing field {key!r}") from None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise SemanticError(f"field {key!r} must be of type {kind.__name__}")
     return value
 
 
 def _ids(doc: dict, key: str) -> frozenset[int]:
     ids = _field(doc, key, list)
-    if any(not isinstance(i, int) or i < 0 for i in ids):
+    if any(type(i) is not int or i < 0 for i in ids):
         raise SemanticError(f"{key} must be non-negative integer ids")
     return frozenset(ids)
 
@@ -213,17 +223,27 @@ def _symbols(doc: dict, key: str) -> tuple[str, ...]:
     return tuple(syms)
 
 
-def fsm_to_doc(m: Fsm) -> dict:
-    return {
-        "states": sorted(m.states),
-        "inputs": list(m.inputs),
-        "outputs": list(m.outputs),
-        "reset": m.reset,
-        "transitions": [
-            {"from": src, "in": sym, "to": dst, "out": m.output_map[(src, sym)]}
-            for (src, sym), dst in sorted(m.transitions.items())
-        ],
-    }
+def _json_list(items: list[str]) -> str:
+    """A list of JSON texts as one ``indent=2`` member of a top-level object."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _fsm_text(m: Fsm) -> str:
+    """The machine document exactly as ``json.dumps(doc, sort_keys=True,
+    indent=2)`` writes it, built from the machine without the document:
+    each symbol is JSON-encoded once and each transition is one f-string."""
+    enc = {sym: json.dumps(sym) for sym in (*m.inputs, *m.outputs)}
+    out = m.output_map
+    transitions = [
+        f'{{\n      "from": {src},\n      "in": {enc[sym]},\n'
+        f'      "out": {enc[out[src, sym]]},\n      "to": {dst}\n    }}'
+        for (src, sym), dst in sorted(m.transitions.items())
+    ]
+    return (f'{{\n  "inputs": {_json_list([enc[s] for s in m.inputs])},\n'
+            f'  "outputs": {_json_list([enc[s] for s in m.outputs])},\n'
+            f'  "reset": {m.reset},\n'
+            f'  "states": {_json_list([str(s) for s in sorted(m.states)])},\n'
+            f'  "transitions": {_json_list(transitions)}\n}}')
 
 
 def fsm_from_doc(doc: dict) -> Fsm:
@@ -235,7 +255,7 @@ def fsm_from_doc(doc: dict) -> Fsm:
             src, sym, dst, out = t["from"], t["in"], t["to"], t["out"]
         except (KeyError, TypeError):
             raise SemanticError(f"transition needs from, in, to and out: {t}") from None
-        if not (isinstance(src, int) and isinstance(dst, int)
+        if not (type(src) is int and type(dst) is int
                 and src in states and dst in states):
             raise SemanticError(f"transition references unknown state: {t}")
         if not (isinstance(sym, str) and isinstance(out, str)):
@@ -261,7 +281,7 @@ def parse_fsm(text: str) -> Fsm:
 
 
 def format_fsm(m: Fsm) -> str:
-    return _dump_doc(fsm_to_doc(m))
+    return _fsm_text(m) + "\n"
 
 
 def graph_to_doc(g: ConnGraph) -> dict:
@@ -276,7 +296,7 @@ def graph_from_doc(doc: dict) -> ConnGraph:
     edges = set()
     for e in _field(doc, "edges", list):
         if not (isinstance(e, list) and len(e) == 2
-                and isinstance(e[0], int) and isinstance(e[1], int)):
+                and type(e[0]) is int and type(e[1]) is int):
             raise SemanticError(f"edge {e} must be a pair of vertex ids")
         edges.add((e[0], e[1]))
     return ConnGraph(

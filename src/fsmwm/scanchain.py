@@ -219,7 +219,10 @@ def decode_transcript(t: Transcript, setting: int | None = None):
         setting = decoded_setting
     payload = []
     rest = shift_bits[p:]
-    for off in range(0, len(rest) - t.n_b + 1, t.n_b):
+    if len(rest) % t.n_b:
+        raise FsmwmError(f"transcript ends inside a frame: {len(rest)} shifted "
+                         f"bits after the preamble are not whole {t.n_b}-bit frames")
+    for off in range(0, len(rest), t.n_b):
         frame = invert_perm(rest[off:off + t.n_b], setting)
         payload.append((bits_to_int(frame[:t.omega]), bits_to_int(frame[t.omega:])))
     return decoded_setting, payload

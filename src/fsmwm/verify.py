@@ -14,7 +14,7 @@ from .errors import (
     SemanticError,
 )
 from .machine import (
-    Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, fsm_to_doc, run, step,
+    Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, run, step,
 )
 from .matrixcrypt import compose_cascade
 from .reduction import branch_input_bits
@@ -63,8 +63,8 @@ def format_package(p: Package) -> str:
     return _dump_doc({
         "kind": "package",
         "mode": p.mode,
-        "host": fsm_to_doc(p.host),
-        "watermark": fsm_to_doc(p.watermark),
+        "host": p.host,
+        "watermark": p.watermark,
         "tap": {"chi": p.chi, "omega": p.omega, "scheme": _SCHEME,
                 "n": p.n, "k": p.k},
     })
@@ -89,8 +89,8 @@ def format_secret(s: Secret) -> str:
     return _dump_doc({
         "kind": "secret",
         "mode": s.mode,
-        "decoder": fsm_to_doc(s.decoder),
-        "redux": fsm_to_doc(s.redux),
+        "decoder": s.decoder,
+        "redux": s.redux,
         "scheme": _SCHEME,
     })
 

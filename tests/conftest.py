@@ -80,6 +80,21 @@ def random_machine(rng: random.Random, n_states: int, n_inputs: int,
     return Fsm(frozenset(range(n_states)), inputs, outputs, 0, tr, om)
 
 
+def oracle_doc(m: Fsm) -> dict:
+    """The machine document as a dict; ``json.dumps(..., sort_keys=True,
+    indent=2)`` of it is the oracle for the library's direct writer."""
+    return {
+        "states": sorted(m.states),
+        "inputs": list(m.inputs),
+        "outputs": list(m.outputs),
+        "reset": m.reset,
+        "transitions": [
+            {"from": src, "in": sym, "to": dst, "out": m.output_map[(src, sym)]}
+            for (src, sym), dst in sorted(m.transitions.items())
+        ],
+    }
+
+
 def all_strings(inputs, n: int):
     """Every input string of length at most n, shortest first."""
     return [list(w) for length in range(n + 1) for w in product(inputs, repeat=length)]

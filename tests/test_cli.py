@@ -2,10 +2,11 @@
 and byte-identical reruns."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from fsmwm import Fsm, format_fsm, parse_fsm
+from fsmwm import Fsm, cli, format_fsm, parse_fsm
 from fsmwm.cli import main
 from conftest import make_host8
 
@@ -187,6 +188,38 @@ def test_decode_scan_malformed_transcript_exits_3(host_file, tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_decode_scan_transcript_prefixes(host_file, tmp_path, capsys):
+    # A prefix that ends between frames decodes to a prefix of the payload;
+    # one that ends inside the preamble or a frame exits 3.
+    lk = tmp_path / "lk.json"
+    assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
+    t = tmp_path / "t.txt"
+    assert main(["scan-test", str(lk), "--chi", "2", "--omega", "8",
+                 "--branch", "1", "--steps", "3", "-o", str(t)]) == 0
+    lines = t.read_text().splitlines()
+    capsys.readouterr()
+    assert main(["decode-scan", str(t)]) == 0
+    full = capsys.readouterr().out.splitlines()
+    cut = tmp_path / "cut.txt"
+    decoded = set()
+    for end in range(1, len(lines) + 1):
+        cut.write_text("\n".join(lines[:end]) + "\n")
+        code = main(["decode-scan", str(cut)])
+        out, err = capsys.readouterr()
+        if code == 0:
+            got = out.splitlines()
+            assert got == full[:len(got)]
+            decoded.add(len(got))
+        else:
+            assert code == 3
+            assert err.startswith("error:") and "Traceback" not in err
+    assert decoded == set(range(1, len(full) + 1))
+    # The 30-line cut lands inside the first payload frame.
+    cut.write_text("\n".join(lines[:30]) + "\n")
+    assert main(["decode-scan", str(cut)]) == 3
+    assert "inside a frame" in capsys.readouterr().err
+
+
 def test_config_defaults_flags_win(host_file, tmp_path):
     p1 = tmp_path / "p1.json"
     s1 = tmp_path / "s1.json"
@@ -202,6 +235,47 @@ def test_config_defaults_flags_win(host_file, tmp_path):
                  "--mode", "fixed", "-n", "4",
                  "--out-package", str(p2), "--out-secret", str(s1)]) == 0
     assert json.loads(p2.read_text())["tap"]["n"] == 4
+
+
+def test_config_defaults_do_not_outlive_the_call(host_file, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    plain = ["emit-package", host_file, "--mode", "fixed", "-n", "3", "-k", "2"]
+    assert main(plain) == 0
+    package = (tmp_path / "package.json").read_bytes()
+    secret = (tmp_path / "secret.json").read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega": 12, "out_package": "p_cfg.json",
+                               "out_secret": "s_cfg.json"}))
+    assert main(["--config", str(cfg)] + plain) == 0
+    assert json.loads((tmp_path / "p_cfg.json").read_text())["tap"]["omega"] == 12
+    for name in ("package.json", "secret.json"):
+        (tmp_path / name).unlink()
+    assert main(plain) == 0
+    assert (tmp_path / "package.json").read_bytes() == package
+    assert (tmp_path / "secret.json").read_bytes() == secret
+
+
+def test_one_parser_serves_every_subcommand(host_file, tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    cg, lk, t = (str(tmp_path / n) for n in ("cg.json", "lk.json", "t.txt"))
+    p, s = str(tmp_path / "p.json"), str(tmp_path / "s.json")
+    for argv in (
+        ["extract-cg", host_file, "-o", cg],
+        ["lprk", host_file, "-n", "3", "-k", "2", "-o", lk],
+        ["emit-package", host_file, "--mode", "fixed", "-n", "3", "-k", "2",
+         "--out-package", p, "--out-secret", s],
+        ["verify", "--package", p, "--secret", s, "--branch", "1", "--length", "3"],
+        ["scan-test", lk, "--chi", "1", "--omega", "8", "--steps", "3", "-o", t],
+        ["decode-scan", t],
+        ["extract-cg", host_file, "-o", "-"],
+    ):
+        assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(Path(cg).read_text())
+    with pytest.raises(SystemExit) as e:
+        main(["lpr", host_file])
+    assert e.value.code == 2
+    assert main(["decode-scan", t]) == 0
 
 
 def test_bad_input_exit_code(tmp_path):
@@ -240,12 +314,17 @@ def _top_level_list(doc):
     return [doc]
 
 
+def _boolean_tap(doc):
+    doc["tap"]["k"] = True
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_tap,
     _drop_transition_input,
     _scalar_states,
     _unknown_scheme,
     _top_level_list,
+    _boolean_tap,
 ])
 def test_malformed_package_exits_3(host_file, tmp_path, capsys, corrupt):
     p = tmp_path / "p.json"

@@ -1,5 +1,6 @@
 """Machine model, graph views and interchange formats."""
 
+import json
 import random
 
 import pytest
@@ -182,3 +183,32 @@ def test_kiss2_rejects_duplicates():
 def test_kiss2_rejects_short_line():
     with pytest.raises(SyntaxError_):
         parse_kiss2(".i 1\n.o 1\n0 a b\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("states", [0, True]),
+    ("reset", False),
+    ("from", True),
+    ("to", True),
+])
+def test_fsm_json_rejects_boolean_ids(field, value):
+    doc = {"states": [0, 1], "inputs": ["0"], "outputs": ["a"], "reset": 0,
+           "transitions": [{"from": 0, "in": "0", "to": 1, "out": "a"}]}
+    if field in ("from", "to"):
+        doc["transitions"][0][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(SemanticError):
+        parse_fsm(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vertices", [0, True]),
+    ("root", False),
+    ("edges", [[0, True]]),
+])
+def test_graph_json_rejects_boolean_ids(field, value):
+    doc = {"vertices": [0, 1], "edges": [[0, 1]], "root": 0}
+    doc[field] = value
+    with pytest.raises(SemanticError):
+        parse_graph(json.dumps(doc))
