@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed verification verdict, 2 usage error,
-3 malformed or missing input.
+3 malformed or missing input, or a search past its cap or budget.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .errors import CapExceededError, FsmwmError
+from .errors import FsmwmError
 from .machine import (
     connectivity_graph,
     format_fsm,
@@ -75,21 +75,16 @@ def _write(path: str, text: str):
         f.write(text)
 
 
-def _load_machine(path: str, fmt: str = "auto"):
+def _load(path: str, graph: bool = False):
+    """The machine in a file: a JSON document if the text opens with "{",
+    else KISS2.  With ``graph``, a graph document, or a machine's
+    connectivity graph."""
     text = _read(path)
-    if fmt == "kiss2" or (fmt == "auto" and not text.lstrip().startswith("{")):
-        return parse_kiss2(text)
-    return parse_fsm(text)
-
-
-def _load_graph_or_machine(path: str):
-    """Accept a graph document directly or extract one from a machine."""
-    text = _read(path)
-    if text.lstrip().startswith("{") and '"vertices"' in text:
+    is_json = text.lstrip().startswith("{")
+    if graph and is_json and '"vertices"' in text:
         return parse_graph(text)
-    if text.lstrip().startswith("{"):
-        return connectivity_graph(parse_fsm(text))
-    return connectivity_graph(parse_kiss2(text))
+    m = parse_fsm(text) if is_json else parse_kiss2(text)
+    return connectivity_graph(m) if graph else m
 
 
 def _build_parser():
@@ -112,7 +107,6 @@ def _build_parser():
     sp = cmd("extract-cg", help="connectivity graph of a machine")
     sp.add_argument("machine")
     sp.add_argument("-o", "--out", default="-")
-    sp.add_argument("--format", choices=["auto", "json", "kiss2"], default="auto")
 
     sp = cmd("lpr", help="sized linear reduction of a host")
     sp.add_argument("source", help="machine or graph document")
@@ -226,16 +220,16 @@ def _parse_args(argv):
 
 def _run(args) -> int:
     if args.cmd == "extract-cg":
-        m = _load_machine(args.machine, args.format)
+        m = _load(args.machine)
         _write(args.out, format_graph(connectivity_graph(m)))
     elif args.cmd == "lpr":
-        g = _load_graph_or_machine(args.source)
+        g = _load(args.source, graph=True)
         reduced = lpr(g, args.size)
         out = format_fsm(standard_cg_machine(reduced)) if args.as_machine \
             else format_graph(reduced)
         _write(args.out, out)
     elif args.cmd == "lprk":
-        g = _load_graph_or_machine(args.source)
+        g = _load(args.source, graph=True)
         z = args.width or find_branch_width(args.rows, args.branches)
         m = lpr_k(g, LprkSpec(n=args.rows, k=args.branches, z=z))
         _write(args.out, format_fsm(m))
@@ -251,7 +245,7 @@ def _run(args) -> int:
         key = parse_key(_read(args.key))
         _write(args.out, format_fsm(build_decryption_machine(key, g)))
     elif args.cmd == "decompose":
-        m = _load_machine(args.machine, "json")
+        m = _load(args.machine)
         if args.mode == "fixed":
             if args.rows is None or args.branches is None:
                 raise FsmwmError("fixed mode needs --rows and --branches")
@@ -263,7 +257,7 @@ def _run(args) -> int:
         _write(args.out_front, format_fsm(build_independent(m, pair.pi_i)))
         _write(args.out_back, format_fsm(build_dependent(m, pair)))
     elif args.cmd == "emit-package":
-        host = _load_machine(args.host)
+        host = _load(args.host)
         if args.mode == "matrix":
             if args.size is None:
                 raise FsmwmError("matrix mode needs --size")
@@ -286,7 +280,7 @@ def _run(args) -> int:
         sys.stdout.write(verdict.report())
         return 0 if verdict.passed else 1
     elif args.cmd == "scan-test":
-        m = _load_machine(args.machine, "json")
+        m = _load(args.machine)
         t = scan_watermark_test(m, args.chi, args.omega, args.branch,
                                 args.seed, args.steps, setting=args.setting)
         _write(args.out, format_transcript(t))
@@ -297,13 +291,13 @@ def _run(args) -> int:
         for state, value in payload:
             print(f"{state} {value}")
     elif args.cmd == "attack":
-        m = _load_machine(args.machine, "json")
+        m = _load(args.machine)
         oracle = FsmOracle(m, args.chi)
         rebuilt = informed_attack(oracle, args.chi)
         _write(args.out, format_fsm(rebuilt))
         print(f"resets {oracle.resets} steps {oracle.steps}", file=sys.stderr)
     elif args.cmd == "validate-partitions":
-        m = _load_machine(args.machine, "json")
+        m = _load(args.machine)
         pi_i = parse_partition(_read(args.pi_i))
         pi_d = parse_partition(_read(args.pi_d))
         checks = [
@@ -321,10 +315,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     try:
         return _run(_parse_args(argv))
-    except CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (FsmwmError, OSError, json.JSONDecodeError) as e:
+    except (FsmwmError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

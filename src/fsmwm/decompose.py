@@ -79,7 +79,8 @@ def _successor_rows(m: Fsm, states) -> list[list]:
     """Per input, the index into ``states`` of each state's successor
     (None where undefined)."""
     index = {s: i for i, s in enumerate(states)}
-    return [[index.get(m.transitions.get((s, sym))) for s in states]
+    steps = m.transitions
+    return [[index[steps[s, sym][0]] if (s, sym) in steps else None for s in states]
             for sym in m.inputs]
 
 
@@ -185,21 +186,21 @@ def lprk_layout(lprk: Fsm, n: int, k: int):
     chi = branch_input_bits(k)
     heads = []
     for v in range(1 << chi):
-        head = lprk.transitions.get((start, str(v)))
-        if head is None:
+        move = lprk.transitions.get((start, str(v)))
+        if move is None:
             raise FsmwmError("machine is not a branch-select reduction")
-        if head not in heads:
-            heads.append(head)
+        if move[0] not in heads:
+            heads.append(move[0])
     if len(heads) != k:
         raise FsmwmError(f"expected {k} branches, found {len(heads)}")
     columns = []
     for head in heads:
         col = [head]
         while len(col) <= n:
-            nxt = lprk.transitions.get((col[-1], "0"))
-            if nxt is None or nxt == col[-1]:
+            move = lprk.transitions.get((col[-1], "0"))
+            if move is None or move[0] == col[-1]:
                 break
-            col.append(nxt)
+            col.append(move[0])
         if len(col) != n:
             raise FsmwmError(f"branch length {len(col)} != n={n}")
         columns.append(col)
@@ -234,11 +235,9 @@ def build_independent(m: Fsm, pi_i: Partition) -> Fsm:
     if not is_input_preserving(m, pi_i):
         raise PartitionError("partition is not input-preserving")
     transitions = {}
-    output_map = {}
-    for (src, sym), dst in m.transitions.items():
-        key = (pi_i.block(src), sym)
-        transitions[key] = pi_i.block(dst)
-        output_map[key] = pair_symbol(sym, key[0])
+    for (src, sym), (dst, _) in m.transitions.items():
+        b = pi_i.block(src)
+        transitions[b, sym] = (pi_i.block(dst), pair_symbol(sym, b))
     outputs = tuple(
         pair_symbol(sym, b) for sym in m.inputs for b in range(len(pi_i))
     )
@@ -248,7 +247,6 @@ def build_independent(m: Fsm, pi_i: Partition) -> Fsm:
         outputs=outputs,
         reset=pi_i.block(m.reset),
         transitions=transitions,
-        output_map=output_map,
     )
 
 
@@ -262,18 +260,13 @@ def build_dependent(m: Fsm, pair: PartitionPair) -> Fsm:
     if not is_orthogonal(pi_i, pi_d):
         raise PartitionError("partition pair is not orthogonal")
     common = {(v, d): s for s, v, d in zip(pi_d.states, pi_i.assign, pi_d.assign)}
-    lifted = {}
-    for (src, sym), dst in m.transitions.items():
-        lifted[(pi_d.block(src), sym)] = pi_d.block(dst)
+    lifted = {(pi_d.block(src), sym): pi_d.block(dst)
+              for (src, sym), (dst, _) in m.transitions.items()}
     transitions = {}
-    output_map = {}
     for (d1, sym), d2 in lifted.items():
         for v in range(len(pi_i)):
-            if (v, d1) not in common:
-                continue
-            key = (d1, pair_symbol(sym, v))
-            transitions[key] = d2
-            output_map[key] = str(common[(v, d1)])
+            if (v, d1) in common:
+                transitions[d1, pair_symbol(sym, v)] = (d2, str(common[v, d1]))
     inputs = tuple(
         pair_symbol(sym, v) for sym in m.inputs for v in range(len(pi_i))
     )
@@ -283,7 +276,6 @@ def build_dependent(m: Fsm, pair: PartitionPair) -> Fsm:
         outputs=tuple(str(s) for s in sorted(m.states)),
         reset=pi_d.block(m.reset),
         transitions=transitions,
-        output_map=output_map,
     )
 
 

@@ -37,7 +37,7 @@ class PartitionError(FsmwmError):
 
 
 class CapExceededError(FsmwmError):
-    """Machine too large for exhaustive lattice search."""
+    """A search or probe would pass its cap or budget."""
 
 
 class NoNontrivialDecompositionError(FsmwmError):

@@ -19,41 +19,34 @@ from .errors import HaltError, SemanticError, SyntaxError_
 class Fsm:
     """Deterministic Mealy machine over string symbols.
 
-    ``transitions`` and ``output_map`` share the same (state, input) key
-    set; the map may be partial.  State ids are non-negative integers.
+    ``transitions`` is the one step map: (state, input) -> (next state,
+    output).  The map may be partial.  State ids are non-negative integers.
     """
 
     states: frozenset[int]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     reset: int
-    transitions: dict[tuple[int, str], int] = field(hash=False)
-    output_map: dict[tuple[int, str], str] = field(hash=False)
+    transitions: dict[tuple[int, str], tuple[int, str]] = field(hash=False)
 
     def __post_init__(self):
         if self.reset not in self.states:
             raise SemanticError(f"reset state {self.reset} not in state set")
-        if set(self.transitions) != set(self.output_map):
-            raise SemanticError("transition and output maps must share keys")
-        inputs, outputs = set(self.inputs), set(self.outputs)
-        for (src, sym), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
+        states, inputs, outputs = self.states, set(self.inputs), set(self.outputs)
+        for (src, sym), (dst, out) in self.transitions.items():
+            if src not in states or dst not in states:
                 raise SemanticError(f"transition ({src},{sym})->{dst} leaves the state set")
             if sym not in inputs:
                 raise SemanticError(f"unknown input symbol {sym!r}")
-        for key, out in self.output_map.items():
             if out not in outputs:
-                raise SemanticError(f"unknown output symbol {out!r} at {key}")
-
-    def defined(self, state: int, sym: str) -> bool:
-        return (state, sym) in self.transitions
+                raise SemanticError(f"unknown output symbol {out!r} at {(src, sym)}")
 
     def moves(self, state: int):
         """(input, next state, output) per defined input, in alphabet order."""
         for sym in self.inputs:
-            key = (state, sym)
-            if key in self.transitions:
-                yield sym, self.transitions[key], self.output_map[key]
+            move = self.transitions.get((state, sym))
+            if move is not None:
+                yield sym, *move
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class ConnGraph:
 
 def connectivity_graph(m: Fsm) -> ConnGraph:
     """Project the transition map to edges, collapsing duplicate inputs."""
-    edges = frozenset((src, dst) for (src, _), dst in m.transitions.items())
+    edges = frozenset((src, dst) for (src, _), (dst, _) in m.transitions.items())
     return ConnGraph(vertices=m.states, edges=edges, root=m.reset)
 
 
@@ -101,28 +94,23 @@ def standard_cg_machine(g: ConnGraph) -> Fsm:
     max_deg = max((len(g.successors(v)) for v in g.vertices), default=0)
     inputs = tuple(str(i) for i in range(max(1, max_deg)))
     outputs = tuple(str(v) for v in sorted(g.vertices))
-    transitions = {}
-    output_map = {}
-    for v in sorted(g.vertices):
-        for i, w in enumerate(g.successors(v)):
-            transitions[(v, str(i))] = w
-            output_map[(v, str(i))] = str(v)
+    transitions = {(v, str(i)): (w, str(v))
+                   for v in sorted(g.vertices) for i, w in enumerate(g.successors(v))}
     return Fsm(
         states=g.vertices,
         inputs=inputs,
         outputs=outputs,
         reset=g.root,
         transitions=transitions,
-        output_map=output_map,
     )
 
 
 def step(m: Fsm, state: int, sym: str) -> tuple[int, str]:
     """One deterministic step; raises HaltError on an undefined pair."""
-    key = (state, sym)
-    if key not in m.transitions:
+    move = m.transitions.get((state, sym))
+    if move is None:
         raise HaltError(f"no transition from state {state} on input {sym!r}")
-    return m.transitions[key], m.output_map[key]
+    return move
 
 
 def run(m: Fsm, symbols) -> tuple[list[str], int]:
@@ -133,22 +121,22 @@ def run(m: Fsm, symbols) -> tuple[list[str], int]:
     state = m.reset
     out: list[str] = []
     for sym in symbols:
-        if not m.defined(state, sym):
+        move = m.transitions.get((state, sym))
+        if move is None:
             break
-        state, o = step(m, state, sym)
+        state, o = move
         out.append(o)
     return out, len(out)
 
 
 def run_states(m: Fsm, symbols) -> list[int]:
     """State trajectory from reset, truncating at holes; includes reset."""
-    state = m.reset
-    states = [state]
+    states = [m.reset]
     for sym in symbols:
-        if not m.defined(state, sym):
+        move = m.transitions.get((states[-1], sym))
+        if move is None:
             break
-        state, _ = step(m, state, sym)
-        states.append(state)
+        states.append(move[0])
     return states
 
 
@@ -233,11 +221,10 @@ def _fsm_text(m: Fsm) -> str:
     indent=2)`` writes it, built from the machine without the document:
     each symbol is JSON-encoded once and each transition is one f-string."""
     enc = {sym: json.dumps(sym) for sym in (*m.inputs, *m.outputs)}
-    out = m.output_map
     transitions = [
         f'{{\n      "from": {src},\n      "in": {enc[sym]},\n'
-        f'      "out": {enc[out[src, sym]]},\n      "to": {dst}\n    }}'
-        for (src, sym), dst in sorted(m.transitions.items())
+        f'      "out": {enc[out]},\n      "to": {dst}\n    }}'
+        for (src, sym), (dst, out) in sorted(m.transitions.items())
     ]
     return (f'{{\n  "inputs": {_json_list([enc[s] for s in m.inputs])},\n'
             f'  "outputs": {_json_list([enc[s] for s in m.outputs])},\n'
@@ -247,31 +234,26 @@ def _fsm_text(m: Fsm) -> str:
 
 
 def fsm_from_doc(doc: dict) -> Fsm:
-    states = _ids(doc, "states")
+    """Type, shape and duplicate checks here; ``Fsm`` checks membership."""
     transitions = {}
-    output_map = {}
     for t in _field(doc, "transitions", list):
         try:
             src, sym, dst, out = t["from"], t["in"], t["to"], t["out"]
         except (KeyError, TypeError):
             raise SemanticError(f"transition needs from, in, to and out: {t}") from None
-        if not (type(src) is int and type(dst) is int
-                and src in states and dst in states):
-            raise SemanticError(f"transition references unknown state: {t}")
+        if not (type(src) is int and type(dst) is int):
+            raise SemanticError(f"transition states must be integer ids: {t}")
         if not (isinstance(sym, str) and isinstance(out, str)):
             raise SemanticError(f"transition symbols must be strings: {t}")
-        key = (src, sym)
-        if key in transitions:
+        if (src, sym) in transitions:
             raise SemanticError(f"duplicate transition for state {src} input {sym!r}")
-        transitions[key] = dst
-        output_map[key] = out
+        transitions[src, sym] = (dst, out)
     return Fsm(
-        states=states,
+        states=_ids(doc, "states"),
         inputs=_symbols(doc, "inputs"),
         outputs=_symbols(doc, "outputs"),
         reset=_field(doc, "reset", int),
         transitions=transitions,
-        output_map=output_map,
     )
 
 
@@ -359,15 +341,13 @@ def parse_kiss2(text: str) -> Fsm:
         return pats
 
     transitions = {}
-    output_map = {}
     outputs = set()
     for lineno, (ibits, src, dst, obits) in lines:
         for pat in expand(ibits):
             key = (state_id(src), pat)
             if key in transitions:
                 raise SemanticError(f"duplicate transition at line {lineno}")
-            transitions[key] = state_id(dst)
-            output_map[key] = obits
+            transitions[key] = (state_id(dst), obits)
             outputs.add(obits)
     if not name_to_id:
         raise SemanticError("no states in document")
@@ -379,5 +359,4 @@ def parse_kiss2(text: str) -> Fsm:
         outputs=tuple(sorted(outputs)),
         reset=reset,
         transitions=transitions,
-        output_map=output_map,
     )

@@ -109,23 +109,16 @@ def build_decryption_machine(key: PermKey, lpr_graph: ConnGraph) -> Fsm:
     chain = [u for u, _ in trace]
     inputs = tuple(str(v) for _, v in sorted(trace, key=lambda p: p[1]))
     transitions = {}
-    output_map = {}
     for t, u in enumerate(chain):
         for _, v in trace:
-            sym = str(v)
-            if t + 1 < len(chain) and v == trace[t + 1][1]:
-                transitions[(u, sym)] = chain[t + 1]
-                output_map[(u, sym)] = str(chain[t + 1])
-            else:
-                transitions[(u, sym)] = u
-                output_map[(u, sym)] = str(u)
+            nxt = chain[t + 1] if t + 1 < len(chain) and v == trace[t + 1][1] else u
+            transitions[u, str(v)] = (nxt, str(nxt))
     return Fsm(
         states=frozenset(chain),
         inputs=inputs,
         outputs=tuple(str(u) for u in sorted(chain)),
         reset=chain[0],
         transitions=transitions,
-        output_map=output_map,
     )
 
 
@@ -144,25 +137,21 @@ def compose_cascade(front: Fsm, back: Fsm) -> Fsm:
     def moves(pair):
         sf, sb = pair
         for sym, nf, of in front.moves(sf):
-            key = (sb, of)
-            if key in back.transitions:
-                yield sym, (nf, back.transitions[key]), back.output_map[key]
+            move = back.transitions.get((sb, of))
+            if move is not None:
+                yield sym, (nf, move[0]), move[1]
 
     start = (front.reset, back.reset)
     numbering = {start: 0}
     transitions = {}
-    output_map = {}
     for _, pair, sym, nxt, out in _reachable(start, moves):
-        key = (numbering[pair], sym)
-        transitions[key] = numbering.setdefault(nxt, len(numbering))
-        output_map[key] = out
+        transitions[numbering[pair], sym] = (numbering.setdefault(nxt, len(numbering)), out)
     return Fsm(
         states=frozenset(numbering.values()),
         inputs=front.inputs,
         outputs=back.outputs,
         reset=0,
         transitions=transitions,
-        output_map=output_map,
     )
 
 

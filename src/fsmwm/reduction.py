@@ -165,18 +165,15 @@ def add_shift_hash(x: int, r: int, c: int, z: int) -> int:
 @dataclass(frozen=True)
 class LprkSpec:
     """Shape of the multi-branch reduction: n rows per branch, k branches,
-    states renumbered by the named hash family within z bits."""
+    states renumbered by the add-shift hash within z bits."""
 
     n: int
     k: int
     z: int
-    hash_kind: str = "add-shift"
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1 or self.z < 1:
             raise FsmwmError("n, k and z must be >= 1")
-        if self.hash_kind != "add-shift":
-            raise FsmwmError(f"unknown renumbering family {self.hash_kind!r}")
 
 
 def branch_input_bits(k: int) -> int:
@@ -226,24 +223,17 @@ def lpr_k(g: ConnGraph, shape: LprkSpec) -> Fsm:
     chi = branch_input_bits(shape.k)
     inputs = tuple(str(v) for v in range(1 << chi))
     states = frozenset([start] + flat)
-    transitions = {}
-    output_map = {}
-    for v in range(1 << chi):
-        transitions[(start, str(v))] = columns[v % shape.k][0]
-        output_map[(start, str(v))] = str(start)
+    transitions = {(start, str(v)): (columns[v % shape.k][0], str(start))
+                   for v in range(1 << chi)}
     for col in columns:
-        for row in range(shape.n):
-            src = col[row]
-            dst = col[row + 1] if row + 1 < shape.n else src
-            transitions[(src, "0")] = dst
-            output_map[(src, "0")] = str(src)
+        for row, src in enumerate(col):
+            transitions[src, "0"] = (col[min(row + 1, shape.n - 1)], str(src))
     return Fsm(
         states=states,
         inputs=inputs,
         outputs=tuple(str(s) for s in sorted(states)),
         reset=start,
         transitions=transitions,
-        output_map=output_map,
     )
 
 

@@ -139,6 +139,9 @@ class TapSession:
 
     def __init__(self, machine: Fsm, chi: int, omega: int, seed: int,
                  setting: int | None = None):
+        if chi < 0 or chi + omega < 1:
+            raise FsmwmError(f"register of chi={chi} input and omega={omega} state "
+                             "bits needs chi >= 0 and chi + omega >= 1")
         need = max(machine.states).bit_length()
         if omega < need:
             raise FsmwmError(f"omega {omega} too narrow; need at least {need} bits")
@@ -164,10 +167,10 @@ class TapSession:
         bsr = self.chain[-self.n_b:]
         frame = invert_perm(bsr, self.setting)
         self.last_input_bits = frame[self.omega:]
-        sym = str(bits_to_int(self.last_input_bits))
-        if sym in self.machine.inputs and self.machine.defined(self.mstate, sym):
-            self.mstate = self.machine.transitions[(self.mstate, sym)]
-        # Undefined input: the machine stays frozen.
+        move = self.machine.transitions.get(
+            (self.mstate, str(bits_to_int(self.last_input_bits))))
+        if move is not None:        # undefined input: the machine stays frozen
+            self.mstate = move[0]
         self.chain = []
 
     def tap_step(self, tms: int, tdi: int) -> int:
@@ -237,5 +240,8 @@ def scan_watermark_test(machine: Fsm, chi: int, omega: int, branch: int,
     tick whose frame flushes the final latched state out of the register.
     """
     session = TapSession(machine, chi, omega, seed, setting=setting)
-    values = [branch] + [0] * steps
-    return drive_frames(session, values)
+    if not 0 <= branch < 1 << chi:
+        raise FsmwmError(f"branch {branch} does not fit chi={chi} input bits")
+    if steps < 1:
+        raise FsmwmError(f"step count {steps} must be >= 1")
+    return drive_frames(session, [branch] + [0] * steps)

@@ -9,13 +9,12 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AlphabetMismatchError,
+    CapExceededError,
     FsmwmError,
     InconsistentTranscriptError,
     SemanticError,
 )
-from .machine import (
-    Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, run, step,
-)
+from .machine import Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, run
 from .matrixcrypt import compose_cascade
 from .reduction import branch_input_bits
 
@@ -138,7 +137,10 @@ def _compare(expected: list[str], observed: list[str]) -> Verdict:
 def watermark_test(package: Package, secret: Secret, branch: int,
                    length: int) -> Verdict:
     """Three-step protocol: cascade the shipped machine with the decoder,
-    run the reference reduction on the same schedule, compare outputs."""
+    run the reference reduction on the same schedule, compare outputs.
+    A schedule shorter than one step would check nothing, so it is refused."""
+    if length < 1:
+        raise FsmwmError(f"verification length {length} must be >= 1")
     if package.mode != secret.mode:
         raise SemanticError(
             f"package mode {package.mode!r} does not match secret {secret.mode!r}"
@@ -153,7 +155,7 @@ def watermark_test(package: Package, secret: Secret, branch: int,
             raise FsmwmError(
                 f"branch encoding {branch} out of range 0..{(1 << width) - 1}"
             )
-        schedule = ([str(branch)] + ["0"] * (length - 1)) if length else []
+        schedule = [str(branch)] + ["0"] * (length - 1)
     try:
         cascade = compose_cascade(package.watermark, secret.decoder)
     except AlphabetMismatchError as e:
@@ -173,6 +175,8 @@ class FsmOracle:
     output stream.  Counts resets as probes."""
 
     def __init__(self, machine: Fsm, chi: int):
+        if chi < 0:
+            raise FsmwmError(f"input width chi {chi} must be >= 0")
         self._machine = machine
         self.chi = chi
         self._state = machine.reset
@@ -190,9 +194,10 @@ class FsmOracle:
     def step(self, sym: str):
         """Feed one input value; returns the output or None on a halt."""
         self.steps += 1
-        if not self._machine.defined(self._state, sym):
+        move = self._machine.transitions.get((self._state, sym))
+        if move is None:
             return None
-        self._state, out = step(self._machine, self._state, sym)
+        self._state, out = move
         return out
 
 
@@ -206,10 +211,19 @@ class OracleBudget:
             raise FsmwmError("budget must be positive")
 
 
+# What informed_attack may spend: one reset per input value, and ticks
+# down one branch before its output stream must have settled or halted.
+ATTACK_BUDGET = OracleBudget(max_probes=1 << 12, max_steps_per_probe=1 << 16)
+
+
 def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
     """Reconstruct a branch-select machine by probing every input value
     from reset, then ticking down each branch until the output stream
-    stabilizes or halts.  Uses at most 2**chi resets."""
+    stabilizes or halts.  Uses 2**chi resets; raises CapExceededError
+    when that or one branch's ticks would pass ``ATTACK_BUDGET``."""
+    if 1 << chi > ATTACK_BUDGET.max_probes:
+        raise CapExceededError(f"chi={chi} needs {1 << chi} probes; the attack "
+                               f"budget is {ATTACK_BUDGET.max_probes}")
     traces: dict[str, list[str | None]] = {}
     for v in range(1 << chi):
         oracle.reset()
@@ -218,20 +232,23 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
         trace: list[str | None] = [first]
         if first is not None:
             prev = None
-            while True:
+            for _ in range(ATTACK_BUDGET.max_steps_per_probe):
                 out = oracle.step("0")
                 trace.append(out)
                 if out is None or out == prev:
                     break
                 prev = out
+            else:
+                raise CapExceededError(
+                    f"branch {sym} neither settled nor halted within "
+                    f"{ATTACK_BUDGET.max_steps_per_probe} ticks")
         traces[sym] = trace
     assert oracle.resets <= (1 << chi)
 
     # Shared suffix structure: branches with identical tick streams are
     # one branch reached through several encodings.
     inputs = tuple(str(v) for v in range(1 << chi))
-    transitions: dict[tuple[int, str], int] = {}
-    output_map: dict[tuple[int, str], str] = {}
+    transitions: dict[tuple[int, str], tuple[int, str]] = {}
     outputs: set[str] = set()
     next_id = 1
     chain_ids: dict[tuple[str, ...], list[int]] = {}
@@ -248,8 +265,7 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
         ids = chain_ids[ticks]
         if not ids:
             continue
-        transitions[(0, sym)] = ids[0]
-        output_map[(0, sym)] = trace[0]
+        transitions[0, sym] = (ids[0], trace[0])
         outputs.add(trace[0])
         halted = trace[-1] is None
         for pos, out in enumerate(ticks):
@@ -260,8 +276,7 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
                 continue            # stream ended in a halt: leave the tail open
             else:
                 dst = src           # stabilized: tail ticks in place
-            transitions[(src, "0")] = dst
-            output_map[(src, "0")] = out
+            transitions[src, "0"] = (dst, out)
             outputs.add(out)
     states = frozenset([0] + [s for ids in chain_ids.values() for s in ids])
     return Fsm(
@@ -270,7 +285,6 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
         outputs=tuple(sorted(outputs)) or ("0",),
         reset=0,
         transitions=transitions,
-        output_map=output_map,
     )
 
 
@@ -295,21 +309,16 @@ def adversarial_extension(transcript, j: int) -> Fsm:
     runs = _normalize_runs(transcript)
     observed_outputs: set[str] = set()
     # Prefix tree, numbered as it grows: a new edge gets the next id.
-    transitions: dict[tuple[int, str], int] = {}
-    output_map: dict[tuple[int, str], str] = {}
+    transitions: dict[tuple[int, str], tuple[int, str]] = {}
     for r in runs:
         node = 0
         for sym, out in r:
             observed_outputs.add(out)
-            key = (node, sym)
-            if key not in transitions:
-                transitions[key] = len(transitions) + 1
-                output_map[key] = out
-            elif output_map[key] != out:
+            node, seen = transitions.setdefault((node, sym), (len(transitions) + 1, out))
+            if seen != out:
                 raise InconsistentTranscriptError(
-                    f"input {sym!r} seen with outputs {output_map[key]!r} and {out!r}"
+                    f"input {sym!r} seen with outputs {seen!r} and {out!r}"
                 )
-            node = transitions[key]
     if len(observed_outputs) != j:
         raise FsmwmError(
             f"transcript shows {len(observed_outputs)} outputs, caller claims {j}"
@@ -321,15 +330,13 @@ def adversarial_extension(transcript, j: int) -> Fsm:
     extra = len(transitions) + 1
     leaf = min(set(range(extra)) - {src for src, _ in transitions})
     for src in (leaf, extra):
-        transitions[(src, syms[0])] = extra
-        output_map[(src, syms[0])] = fresh
+        transitions[src, syms[0]] = (extra, fresh)
     return Fsm(
         states=frozenset(range(extra + 1)),
         inputs=tuple(syms),
         outputs=tuple(sorted(observed_outputs)) + (fresh,),
         reset=0,
         transitions=transitions,
-        output_map=output_map,
     )
 
 
@@ -389,13 +396,15 @@ def bounded_equiv(m1: Fsm, m2: Fsm, depth: int) -> bool:
     if set(m1.inputs) != set(m2.inputs):
         raise AlphabetMismatchError("machines have different input alphabets")
 
+    hole = (None, None)
+
     def moves(pair):
         s1, s2 = pair
         for sym in m1.inputs:
-            k1, k2 = (s1, sym), (s2, sym)
-            if k1 in m1.transitions or k2 in m2.transitions:
-                yield (sym, (m1.transitions.get(k1), m2.transitions.get(k2)),
-                       (m1.output_map.get(k1), m2.output_map.get(k2)))
+            a = m1.transitions.get((s1, sym), hole)
+            b = m2.transitions.get((s2, sym), hole)
+            if a is not hole or b is not hole:
+                yield sym, (a[0], b[0]), (a[1], b[1])
 
     # A step at depth d ends a string of length d + 1; a hole shows None.
     for d, *_, (o1, o2) in _reachable((m1.reset, m2.reset), moves):

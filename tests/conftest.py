@@ -14,25 +14,18 @@ from fsmwm import ConnGraph, Fsm
 
 def make_host8() -> Fsm:
     """Dense 8-state two-input host used across the suite."""
-    tr = {}
-    om = {}
-    for s in range(8):
-        for sym in ("0", "1"):
-            tr[(s, sym)] = (s + (1 if sym == "0" else 3)) % 8
-            om[(s, sym)] = str((s + int(sym)) % 2)
-    return Fsm(frozenset(range(8)), ("0", "1"), ("0", "1"), 0, tr, om)
+    tr = {(s, sym): ((s + (1 if sym == "0" else 3)) % 8, str((s + int(sym)) % 2))
+          for s in range(8) for sym in ("0", "1")}
+    return Fsm(frozenset(range(8)), ("0", "1"), ("0", "1"), 0, tr)
 
 
 def make_chain_host(n: int) -> Fsm:
     """Sparse n-state host whose longest path is trivially the full chain."""
     tr = {}
-    om = {}
     for s in range(n):
-        tr[(s, "0")] = min(s + 1, n - 1)
-        om[(s, "0")] = str(s % 2)
-        tr[(s, "1")] = s
-        om[(s, "1")] = str((s + 1) % 2)
-    return Fsm(frozenset(range(n)), ("0", "1"), ("0", "1"), 0, tr, om)
+        tr[(s, "0")] = (min(s + 1, n - 1), str(s % 2))
+        tr[(s, "1")] = (s, str((s + 1) % 2))
+    return Fsm(frozenset(range(n)), ("0", "1"), ("0", "1"), 0, tr)
 
 
 def random_graph(rng: random.Random, m: int, density: float = 0.35) -> ConnGraph:
@@ -71,13 +64,11 @@ def random_machine(rng: random.Random, n_states: int, n_inputs: int,
     inputs = tuple(str(i) for i in range(n_inputs))
     outputs = tuple(chr(ord("a") + i) for i in range(n_outputs))
     tr = {}
-    om = {}
     for s in range(n_states):
         for sym in inputs:
             if total or rng.random() < 0.8:
-                tr[(s, sym)] = rng.randrange(n_states)
-                om[(s, sym)] = rng.choice(outputs)
-    return Fsm(frozenset(range(n_states)), inputs, outputs, 0, tr, om)
+                tr[(s, sym)] = (rng.randrange(n_states), rng.choice(outputs))
+    return Fsm(frozenset(range(n_states)), inputs, outputs, 0, tr)
 
 
 def oracle_doc(m: Fsm) -> dict:
@@ -89,8 +80,8 @@ def oracle_doc(m: Fsm) -> dict:
         "outputs": list(m.outputs),
         "reset": m.reset,
         "transitions": [
-            {"from": src, "in": sym, "to": dst, "out": m.output_map[(src, sym)]}
-            for (src, sym), dst in sorted(m.transitions.items())
+            {"from": src, "in": sym, "to": dst, "out": out}
+            for (src, sym), (dst, out) in sorted(m.transitions.items())
         ],
     }
 

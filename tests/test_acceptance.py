@@ -80,14 +80,14 @@ def test_criterion_01_encryption_symmetry():
 
 
 def _tamperings(machine: Fsm):
-    for key in sorted(machine.transitions):
+    for key, (dst, out) in sorted(machine.transitions.items()):
         for target in sorted(machine.states):
-            if target == machine.transitions[key]:
+            if target == dst:
                 continue
             tr = dict(machine.transitions)
-            tr[key] = target
+            tr[key] = (target, out)
             yield Fsm(machine.states, machine.inputs, machine.outputs,
-                      machine.reset, tr, dict(machine.output_map))
+                      machine.reset, tr)
 
 
 def _repackage(package, watermark):
@@ -233,8 +233,7 @@ def test_criterion_07_output_count_witness():
             record = []
             for _ in range(rng.randint(0, 6)):
                 sym = rng.choice(machine.inputs)
-                state, out = (machine.transitions[(state, sym)],
-                              machine.output_map[(state, sym)])
+                state, out = machine.transitions[(state, sym)]
                 record.append((sym, out))
                 observed.add(out)
             runs.append(record)

@@ -119,7 +119,7 @@ def test_decompose_fixed_cyclic_ticks_exits_3(tmp_path, capsys):
     # The branch's tick chain 1 -> 2 -> 1 never settles on a self-loop.
     keys = [(0, "0"), (0, "1"), (1, "0"), (2, "0")]
     m = Fsm(frozenset(range(3)), ("0", "1"), ("0",), 0,
-            dict(zip(keys, [1, 1, 2, 1])), dict.fromkeys(keys, "0"))
+            dict(zip(keys, [(1, "0"), (1, "0"), (2, "0"), (1, "0")])))
     src = tmp_path / "cyc.json"
     src.write_text(format_fsm(m))
     assert main(["decompose", str(src), "--mode", "fixed", "-n", "2", "-k", "1"]) == 3
@@ -288,9 +288,12 @@ def test_bad_input_exit_code(tmp_path):
     assert main(["extract-cg", str(kiss)]) == 3
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(host_file):
     with pytest.raises(SystemExit) as e:
         main(["lpr"])  # missing required --size and source
+    assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["extract-cg", host_file, "--format", "json"])  # the format is read
     assert e.value.code == 2
 
 
@@ -355,3 +358,110 @@ def test_scan_test_rejects_narrow_omega(host_file, tmp_path, capsys):
     assert main(["scan-test", str(lk), "--chi", "2", "--omega", "3",
                  "--steps", "4"]) == 3
     assert "omega 3 too narrow" in capsys.readouterr().err
+
+
+def _tampered_bundle(host_file, tmp_path):
+    p = tmp_path / "p.json"
+    s = tmp_path / "s.json"
+    assert main(["emit-package", host_file, "--mode", "fixed", "-n", "3",
+                 "-k", "2", "--out-package", str(p), "--out-secret", str(s)]) == 0
+    doc = json.loads(p.read_text())
+    for t in doc["watermark"]["transitions"]:
+        t["to"] = next(x for x in doc["watermark"]["states"] if x != t["to"])
+    p.write_text(json.dumps(doc))
+    return p, s
+
+
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_verify_refuses_length_below_one(host_file, tmp_path, capsys, length):
+    p, s = _tampered_bundle(host_file, tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--package", str(p), "--secret", str(s),
+                 "--length", length]) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err.startswith("error: verification length")
+
+
+@pytest.mark.parametrize("chi, branch, steps, message", [
+    ("-1", "0", "3", "chi=-1 input and omega=8 state bits needs chi >= 0"),
+    ("1", "-1", "3", "branch -1 does not fit"),
+    ("2", "9", "3", "branch 9 does not fit"),
+    ("2", "4", "3", "branch 4 does not fit"),
+    ("1", "0", "0", "step count 0"),
+    ("1", "0", "-4", "step count -4"),
+])
+def test_scan_test_refuses_out_of_range_integers(host_file, tmp_path, capsys,
+                                                 chi, branch, steps, message):
+    lk = tmp_path / "lk.json"
+    assert main(["lprk", host_file, "-n", "3", "-k", "2", "-o", str(lk)]) == 0
+    assert main(["scan-test", str(lk), "--chi", chi, "--omega", "8",
+                 "--branch", branch, "--steps", steps]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_scan_test_refuses_empty_register(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({
+        "states": [0], "inputs": ["0"], "outputs": ["a"], "reset": 0,
+        "transitions": [{"from": 0, "in": "0", "to": 0, "out": "a"}]}))
+    assert main(["scan-test", str(one), "--chi", "0", "--omega", "0", "--steps", "1"]) == 3
+    assert "chi + omega >= 1" in capsys.readouterr().err
+
+
+def _cycling_ticks(tmp_path):
+    """0 -1/c-> 1 -0/a-> 2 -0/b-> 1: the tick stream a, b, a, ... of
+    branch 1 neither repeats an output twice in a row nor halts."""
+    steps = [(0, "1", 1, "c"), (1, "0", 2, "a"), (2, "0", 1, "b")]
+    path = tmp_path / "cyc.json"
+    path.write_text(json.dumps({
+        "states": [0, 1, 2], "inputs": ["0", "1"], "outputs": ["a", "b", "c"],
+        "reset": 0, "transitions": [{"from": src, "in": sym, "to": dst, "out": out}
+                                    for src, sym, dst, out in steps]}))
+    return path
+
+
+@pytest.mark.parametrize("chi, message", [
+    ("1", "branch 1 neither settled nor halted within 65536 ticks"),
+    ("13", "chi=13 needs 8192 probes"),
+    ("40", "chi=40 needs"),
+    ("-1", "chi -1 must be >= 0"),
+])
+def test_attack_budget(tmp_path, capsys, chi, message):
+    assert main(["attack", str(_cycling_ticks(tmp_path)), "--chi", chi]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def _kiss2_text(doc: dict) -> str:
+    """A machine document with one-bit inputs as KISS2."""
+    lines = [".i 1", ".o 1", f".r s{doc['reset']}"]
+    lines += [f"{t['in']} s{t['from']} s{t['to']} {t['out']}" for t in doc["transitions"]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "{kiss}", "--mode", "fixed", "-n", "2", "-k", "2",
+     "--out-pi-i", "{pi_i}", "--out-pi-d", "{pi_d}",
+     "--out-front", "{out}", "--out-back", "{out}"],
+    ["validate-partitions", "{kiss}", "--pi-i", "{pi_i}", "--pi-d", "{pi_d}"],
+    ["scan-test", "{kiss}", "--chi", "1", "--omega", "3", "--steps", "2", "-o", "{out}"],
+    ["attack", "{kiss}", "--chi", "1", "-o", "{out}"],
+], ids=lambda c: c[0])
+def test_machine_commands_read_kiss2(host_file, tmp_path, command):
+    lk = tmp_path / "lk.json"
+    assert main(["lprk", host_file, "-n", "2", "-k", "2", "-o", str(lk)]) == 0
+    names = {name: str(tmp_path / name) for name in ("kiss", "pi_i", "pi_d", "out")}
+    Path(names["kiss"]).write_text(_kiss2_text(json.loads(lk.read_text())))
+    assert main(["decompose", names["kiss"], "--mode", "fixed", "-n", "2", "-k", "2",
+                 "--out-pi-i", names["pi_i"], "--out-pi-d", names["pi_d"],
+                 "--out-front", names["out"], "--out-back", names["out"]]) == 0
+    assert main([arg.format(**names) for arg in command]) == 0
+
+
+def test_undecodable_input_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"states": [0\xff]}')
+    assert main(["extract-cg", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

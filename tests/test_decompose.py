@@ -38,11 +38,11 @@ def _oracle_is_sp(m, pi):
             images = set()
             holes = 0
             for s in block:
-                t = m.transitions.get((s, sym))
-                if t is None:
+                move = m.transitions.get((s, sym))
+                if move is None:
                     holes += 1
                 else:
-                    images.add(where[t])
+                    images.add(where[move[0]])
             if holes not in (0, len(block)) or len(images) > 1:
                 return False
     return True
@@ -143,15 +143,12 @@ def _product_machine(rng, a, b):
     right = random_machine(rng, b, 2)
     ids = rng.sample(range(3 * a * b), a * b)
     tr = {}
-    om = {}
     for i in range(a):
         for j in range(b):
             for sym in ("0", "1"):
-                src = ids[i * b + j]
-                dst = (left.transitions[(i, sym)], right.transitions[(j, sym)])
-                tr[(src, sym)] = ids[dst[0] * b + dst[1]]
-                om[(src, sym)] = left.output_map[(i, sym)]
-    return Fsm(frozenset(ids), ("0", "1"), left.outputs, ids[0], tr, om)
+                (li, out), (rj, _) = left.transitions[(i, sym)], right.transitions[(j, sym)]
+                tr[(ids[i * b + j], sym)] = (ids[li * b + rj], out)
+    return Fsm(frozenset(ids), ("0", "1"), left.outputs, ids[0], tr)
 
 
 def test_minimal_decomposition_matches_oracle(rng):

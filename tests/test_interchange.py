@@ -37,8 +37,8 @@ def machines(draw):
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         reset=draw(st.sampled_from(states)),
-        transitions={k: draw(st.sampled_from(states)) for k in keys},
-        output_map={k: draw(st.sampled_from(outputs)) for k in keys},
+        transitions={k: (draw(st.sampled_from(states)), draw(st.sampled_from(outputs)))
+                     for k in keys},
     )
 
 
@@ -46,7 +46,7 @@ def _oracle(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-NO_TRANSITIONS = Fsm(frozenset({0}), (), ("",), 0, {}, {})
+NO_TRANSITIONS = Fsm(frozenset({0}), (), ("",), 0, {})
 
 
 @settings(max_examples=200, deadline=None)

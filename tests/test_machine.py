@@ -28,26 +28,26 @@ from conftest import all_strings, random_graph, random_machine
 
 def test_fsm_rejects_unknown_reset():
     with pytest.raises(SemanticError):
-        Fsm(frozenset([0]), ("0",), ("a",), 5, {}, {})
+        Fsm(frozenset([0]), ("0",), ("a",), 5, {})
 
 
-def test_fsm_rejects_mismatched_maps():
-    with pytest.raises(SemanticError):
-        Fsm(frozenset([0]), ("0",), ("a",), 0, {(0, "0"): 0}, {})
+@pytest.mark.parametrize("step", [{(9, "0"): (0, "a")}, {(0, "0"): (9, "a")}])
+def test_fsm_rejects_steps_leaving_the_state_set(step):
+    with pytest.raises(SemanticError, match="leaves the state set"):
+        Fsm(frozenset([0]), ("0",), ("a",), 0, step)
 
 
 def test_fsm_rejects_unknown_symbols():
     with pytest.raises(SemanticError):
-        Fsm(frozenset([0]), ("0",), ("a",), 0, {(0, "x"): 0}, {(0, "x"): "a"})
+        Fsm(frozenset([0]), ("0",), ("a",), 0, {(0, "x"): (0, "a")})
     with pytest.raises(SemanticError):
-        Fsm(frozenset([0]), ("0",), ("a",), 0, {(0, "0"): 0}, {(0, "0"): "b"})
+        Fsm(frozenset([0]), ("0",), ("a",), 0, {(0, "0"): (0, "b")})
 
 
 def test_connectivity_graph_collapses_parallel_inputs():
     m = Fsm(
         frozenset([0, 1]), ("0", "1"), ("a",), 0,
-        {(0, "0"): 1, (0, "1"): 1, (1, "0"): 0},
-        {(0, "0"): "a", (0, "1"): "a", (1, "0"): "a"},
+        {(0, "0"): (1, "a"), (0, "1"): (1, "a"), (1, "0"): (0, "a")},
     )
     g = connectivity_graph(m)
     assert g.edges == frozenset({(0, 1), (1, 0)})
@@ -74,9 +74,7 @@ def test_standard_machine_branch_choice_ordered_by_target():
     g = ConnGraph(frozenset([0, 2, 5]), frozenset([(0, 5), (0, 2)]), 0)
     m = standard_cg_machine(g)
     assert m.inputs == ("0", "1")
-    assert m.transitions[(0, "0")] == 2
-    assert m.transitions[(0, "1")] == 5
-    assert m.output_map[(0, "0")] == "0"
+    assert m.transitions == {(0, "0"): (2, "0"), (0, "1"): (5, "0")}
 
 
 def test_step_raises_on_hole():
@@ -166,11 +164,11 @@ def test_kiss2_hand_oracle():
     # reset state first, then first-appearance order
     assert m.reset == 0
     assert m.states == frozenset([0, 1, 2])
-    assert m.transitions[(0, "01")] == 1
+    assert m.transitions[(0, "01")] == (1, "1")
     # the don't-care expands to both 10 and 11
-    assert m.transitions[(1, "10")] == 2
-    assert m.transitions[(1, "11")] == 2
-    assert m.output_map[(2, "00")] == "1"
+    assert m.transitions[(1, "10")] == (2, "0")
+    assert m.transitions[(1, "11")] == (2, "0")
+    assert m.transitions[(2, "00")] == (0, "1")
     assert (0, "00") not in m.transitions
 
 

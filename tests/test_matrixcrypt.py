@@ -183,8 +183,7 @@ def _with_inputs(m: Fsm, syms) -> Fsm:
     """m with its i-th input symbol renamed to syms[i]."""
     ren = dict(zip(m.inputs, syms))
     return Fsm(m.states, tuple(syms), m.outputs, m.reset,
-               {(s, ren[a]): t for (s, a), t in m.transitions.items()},
-               {(s, ren[a]): o for (s, a), o in m.output_map.items()})
+               {(s, ren[a]): move for (s, a), move in m.transitions.items()})
 
 
 def test_cascade_matches_runs_of_both_machines(rng):

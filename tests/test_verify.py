@@ -96,17 +96,17 @@ def test_protocol_mode_mismatch(matrix_bundle, fixed_bundle):
 
 
 def _tamper(machine: Fsm, key, new_target) -> Fsm:
+    """machine with the step at key sent to new_target, output kept."""
     tr = dict(machine.transitions)
-    tr[key] = new_target
-    return Fsm(machine.states, machine.inputs, machine.outputs,
-               machine.reset, tr, dict(machine.output_map))
+    tr[key] = (new_target, tr[key][1])
+    return Fsm(machine.states, machine.inputs, machine.outputs, machine.reset, tr)
 
 
 def test_tampered_package_fails(fixed_bundle):
     package, secret = fixed_bundle
     wm = package.watermark
     key = next(iter(sorted(wm.transitions)))
-    other = next(s for s in sorted(wm.states) if s != wm.transitions[key])
+    other = next(s for s in sorted(wm.states) if s != wm.transitions[key][0])
     bad = _tamper(wm, key, other)
     tampered = type(package)(mode=package.mode, host=package.host,
                              watermark=bad, chi=package.chi,
@@ -172,10 +172,9 @@ def test_adversarial_extension_numbers_tree_as_built():
     m = adversarial_extension(runs, 2)
     # Each new edge takes the next id; the extra state 4 hangs off the
     # lowest-numbered leaf, 2.
-    assert m.transitions == {(0, "0"): 1, (1, "0"): 2, (1, "1"): 3,
-                             (2, "0"): 4, (4, "0"): 4}
+    assert m.transitions == {(0, "0"): (1, "x"), (1, "0"): (2, "y"), (1, "1"): (3, "x"),
+                             (2, "0"): (4, "extra"), (4, "0"): (4, "extra")}
     assert m.states == frozenset(range(5))
-    assert m.output_map[(2, "0")] == m.output_map[(4, "0")] == "extra"
 
 
 def test_adversarial_extension_rejects_conflict():
@@ -215,10 +214,9 @@ def test_estimate_output_count_lower_bound(rng):
 
 
 def test_bounded_equiv_detects_divergence():
-    a = Fsm(frozenset([0]), ("0",), ("x", "y"), 0,
-            {(0, "0"): 0}, {(0, "0"): "x"})
+    a = Fsm(frozenset([0]), ("0",), ("x", "y"), 0, {(0, "0"): (0, "x")})
     b = Fsm(frozenset([0, 1]), ("0",), ("x", "y"), 0,
-            {(0, "0"): 1, (1, "0"): 1}, {(0, "0"): "x", (1, "0"): "y"})
+            {(0, "0"): (1, "x"), (1, "0"): (1, "y")})
     assert bounded_equiv(a, b, 1)
     assert not bounded_equiv(a, b, 2)
     assert not full_equiv(a, b)
@@ -239,21 +237,21 @@ def test_bounded_equiv_matches_output_strings(rng):
 
 
 def test_bounded_equiv_definedness_mismatch():
-    a = Fsm(frozenset([0]), ("0",), ("x",), 0, {(0, "0"): 0}, {(0, "0"): "x"})
-    b = Fsm(frozenset([0]), ("0",), ("x",), 0, {}, {})
+    a = Fsm(frozenset([0]), ("0",), ("x",), 0, {(0, "0"): (0, "x")})
+    b = Fsm(frozenset([0]), ("0",), ("x",), 0, {})
     assert not bounded_equiv(a, b, 1)
 
 
 def test_bounded_equiv_alphabet_mismatch():
-    a = Fsm(frozenset([0]), ("0",), ("x",), 0, {}, {})
-    b = Fsm(frozenset([0]), ("1",), ("x",), 0, {}, {})
+    a = Fsm(frozenset([0]), ("0",), ("x",), 0, {})
+    b = Fsm(frozenset([0]), ("1",), ("x",), 0, {})
     with pytest.raises(AlphabetMismatchError):
         bounded_equiv(a, b, 1)
 
 
 def test_full_equiv_structurally_different_machines():
     # a two-state machine equivalent to a one-state loop
-    a = Fsm(frozenset([0]), ("0",), ("x",), 0, {(0, "0"): 0}, {(0, "0"): "x"})
+    a = Fsm(frozenset([0]), ("0",), ("x",), 0, {(0, "0"): (0, "x")})
     b = Fsm(frozenset([0, 1]), ("0",), ("x",), 0,
-            {(0, "0"): 1, (1, "0"): 0}, {(0, "0"): "x", (1, "0"): "x"})
+            {(0, "0"): (1, "x"), (1, "0"): (0, "x")})
     assert full_equiv(a, b)
