@@ -13,9 +13,12 @@ import sys
 
 from .errors import FsmwmError
 from .machine import (
+    _load_doc,
     connectivity_graph,
     format_fsm,
     format_graph,
+    fsm_from_doc,
+    graph_from_doc,
     parse_fsm,
     parse_graph,
     parse_kiss2,
@@ -77,13 +80,17 @@ def _write(path: str, text: str):
 
 def _load(path: str, graph: bool = False):
     """The machine in a file: a JSON document if the text opens with "{",
-    else KISS2.  With ``graph``, a graph document, or a machine's
-    connectivity graph."""
+    else KISS2.  With ``graph``, a graph document (one with a top-level
+    ``vertices`` key), or a machine's connectivity graph."""
     text = _read(path)
     is_json = text.lstrip().startswith("{")
-    if graph and is_json and '"vertices"' in text:
-        return parse_graph(text)
-    m = parse_fsm(text) if is_json else parse_kiss2(text)
+    if graph and is_json:
+        doc = _load_doc(text)
+        if "vertices" in doc:
+            return graph_from_doc(doc)
+        m = fsm_from_doc(doc)
+    else:
+        m = parse_fsm(text) if is_json else parse_kiss2(text)
     return connectivity_graph(m) if graph else m
 
 

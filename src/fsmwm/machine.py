@@ -12,7 +12,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import HaltError, SemanticError, SyntaxError_
+from .errors import CapExceededError, HaltError, SemanticError, SyntaxError_
+
+KISS2_MAX_INPUT_BITS = 16   # .i above this would build over 65,536 input symbols
 
 
 @dataclass(frozen=True)
@@ -301,6 +303,7 @@ def parse_kiss2(text: str) -> Fsm:
 
     Symbolic state names become dense integer ids in order of first
     appearance, the reset state first.  Don't-care input bits expand.
+    The alphabet holds all 2**.i input symbols, so ``.i`` is capped.
     """
     headers: dict[str, str] = {}
     lines = []
@@ -321,6 +324,8 @@ def parse_kiss2(text: str) -> Fsm:
     if not headers[".i"].isdecimal():
         raise SemanticError(f".i must be a non-negative integer, not {headers['.i']!r}")
     ni = int(headers[".i"])
+    if ni > KISS2_MAX_INPUT_BITS:
+        raise CapExceededError(f".i {ni} passes the cap of {KISS2_MAX_INPUT_BITS} input bits")
     name_to_id: dict[str, int] = {}
 
     def state_id(name: str) -> int:

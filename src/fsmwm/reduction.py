@@ -33,12 +33,18 @@ def longest_simple_path(g: ConnGraph) -> Path:
     Maximal under (length, sequence) with vertices ordered by ascending
     id; neighbors are explored in descending order so the first
     full-length path found is already the lexical maximum, which lets the
-    search stop early on Hamiltonian paths.  The search keeps one
-    successor iterator per path vertex, so path length is not bounded by
-    the interpreter's recursion limit.
+    search stop early on paths that cover every vertex reachable from the
+    root.  The search keeps one successor iterator per path vertex, so
+    path length is not bounded by the interpreter's recursion limit.
     """
-    n = len(g.vertices)
     succ = {v: sorted(g.successors(v), reverse=True) for v in g.vertices}
+    reach, todo = {g.root}, [g.root]    # no simple path is longer than this set
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in reach:
+                reach.add(w)
+                todo.append(w)
+    n = len(reach)
     best: list[int] = [g.root]
     stack = [g.root]
     on_path = {g.root}

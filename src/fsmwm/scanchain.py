@@ -1,11 +1,13 @@
 """Simulated boundary-scan access to the concealed machine: a
-three-state test access port, the scan register, and the per-session
-permuted latch/assert scheme."""
+three-state test access port, the scan register, and the permuted
+latch/assert scheme.  A session draws its setting once and fixes its
+permutation with it; the port shifts whole frames at a time."""
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import FsmwmError
@@ -36,17 +38,15 @@ def permutation_by_index(n: int, i: int) -> tuple[int, ...]:
     return tuple(pool.pop(d) for d in digits)
 
 
-def apply_perm(bits: list[int], i: int) -> list[int]:
-    """Permute a bit vector by setting i: output j takes input perm[j]."""
-    perm = permutation_by_index(len(bits), i)
-    return [bits[perm[j]] for j in range(len(bits))]
+def apply_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
+    """Permute a bit vector: output j takes input perm[j]."""
+    return [bits[p] for p in perm]
 
 
-def invert_perm(bits: list[int], i: int) -> list[int]:
-    perm = permutation_by_index(len(bits), i)
+def invert_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
     out = [0] * len(bits)
-    for j in range(len(bits)):
-        out[perm[j]] = bits[j]
+    for j, p in enumerate(perm):
+        out[p] = bits[j]
     return out
 
 
@@ -92,9 +92,6 @@ class Transcript:
     seed: int
     records: list[tuple[int, int, int, int, str]] = field(default_factory=list)
 
-    def append(self, tms: int, tdi: int, tdo: int, state: str):
-        self.records.append((len(self.records), tms, tdi, tdo, state))
-
 
 def format_transcript(t: Transcript) -> str:
     lines = [f"{t.n_b} {t.chi} {t.omega} {t.seed}"]
@@ -134,7 +131,8 @@ class TapSession:
     Frame layout is output field then input field; shifting is MSB-out,
     LSB-in.  The session opens with the freshly drawn setting prepended
     to the chain unpermuted, followed by an implicit latch of the reset
-    frame; the TAP starts in Latch.
+    frame; the TAP starts in Latch.  ``perm`` is the setting's
+    permutation, fixed for the whole session.
     """
 
     def __init__(self, machine: Fsm, chi: int, omega: int, seed: int,
@@ -152,81 +150,88 @@ class TapSession:
         self.seed = seed
         rng = random.Random(seed)
         self.setting = setting if setting is not None else draw_setting(rng, self.n_b)
+        self.perm = permutation_by_index(self.n_b, self.setting)
         self.tap_state = LATCH
         self.mstate = machine.reset
         self.last_input_bits = [0] * chi
         self.transcript = Transcript(self.n_b, chi, omega, seed)
-        self.chain = int_to_bits(self.setting - 1, setting_bit_width(self.n_b))
+        self.chain = deque(int_to_bits(self.setting - 1, setting_bit_width(self.n_b)))
         self._latch()
 
     def _latch(self):
-        frame = int_to_bits(self.mstate, self.omega) + list(self.last_input_bits)
-        self.chain = self.chain + apply_perm(frame, self.setting)
+        frame = int_to_bits(self.mstate, self.omega) + self.last_input_bits
+        self.chain.extend(apply_perm(frame, self.perm))
 
     def _assert(self):
-        bsr = self.chain[-self.n_b:]
-        frame = invert_perm(bsr, self.setting)
+        frame = invert_perm(list(self.chain)[-self.n_b:], self.perm)
         self.last_input_bits = frame[self.omega:]
         move = self.machine.transitions.get(
             (self.mstate, str(bits_to_int(self.last_input_bits))))
         if move is not None:        # undefined input: the machine stays frozen
             self.mstate = move[0]
-        self.chain = []
+        self.chain.clear()
 
-    def tap_step(self, tms: int, tdi: int) -> int:
-        """One test-clock cycle.  TMS=0 holds the TAP state; TMS=1
-        advances it cyclically, and the entered state acts immediately.
-        Shifting occurs on every cycle spent in Shift, entry included."""
+    def _clock(self, tms: int, tdis: list[int]) -> list[int]:
+        """``tap_step`` once per bit of ``tdis``, the first cycle with
+        ``tms`` and the rest with TMS=0, so a whole Shift window is one
+        call; returns the TDO bits."""
         if tms:
             self.tap_state = _NEXT[self.tap_state]
             if self.tap_state == ASSERT:
                 self._assert()
             elif self.tap_state == LATCH:
                 self._latch()
-        tdo = 0
-        if self.tap_state == SHIFT and self.chain:
-            tdo = self.chain.pop(0)
-            self.chain.append(tdi)
-        self.transcript.append(tms, tdi, tdo, self.tap_state)
-        return tdo
+        chain, k = self.chain, len(tdis)
+        if self.tap_state == SHIFT and chain:
+            chain.extend(tdis)
+            tdos = [chain.popleft() for _ in tdis]
+        else:
+            tdos = [0] * k
+        records = self.transcript.records
+        start = len(records)
+        records.extend(zip(range(start, start + k), [tms] + [0] * (k - 1),
+                           tdis, tdos, [self.tap_state] * k))
+        return tdos
+
+    def tap_step(self, tms: int, tdi: int) -> int:
+        """One test-clock cycle.  TMS=0 holds the TAP state; TMS=1
+        advances it cyclically, and the entered state acts immediately.
+        Shifting occurs on every cycle spent in Shift, entry included; an
+        empty chain drops TDI and outputs 0."""
+        return self._clock(tms, [tdi])[0]
 
 
 def drive_frames(session: TapSession, input_values: list[int]) -> Transcript:
     """Run one frame per input value: enter Shift, stream the register
     out while feeding the permuted next frame in, then assert and latch."""
-    p = setting_bit_width(session.n_b)
-    n_b = session.n_b
+    preamble = [0] * setting_bit_width(session.n_b)
+    pad = [0] * session.omega
     for f, value in enumerate(input_values):
-        window = p + n_b if f == 0 else n_b
-        frame = [0] * session.omega + int_to_bits(value, session.chi)
-        feed = ([0] * p if f == 0 else []) + apply_perm(frame, session.setting)
-        session.tap_step(1, feed[0])          # enter Shift
-        for bit in feed[1:]:
-            session.tap_step(0, bit)
-        assert window == len(feed)
-        session.tap_step(1, 0)                # enter Assert
-        session.tap_step(1, 0)                # enter Latch
+        feed = apply_perm(pad + int_to_bits(value, session.chi), session.perm)
+        session._clock(1, preamble + feed if f == 0 else feed)   # one Shift window
+        session._clock(1, [0])                # enter Assert
+        session._clock(1, [0])                # enter Latch
     return session.transcript
 
 
 def decode_transcript(t: Transcript, setting: int | None = None):
     """Recover the setting and the (state, input-field) payload stream
     from the serial log.  Requires knowledge of the permutation scheme;
-    the setting itself is read from the unpermuted preamble."""
+    the setting itself is read from the unpermuted preamble, and one
+    outside 1..n_b! is refused."""
     p = setting_bit_width(t.n_b)
     shift_bits = [tdo for _, _, _, tdo, st in t.records if st == SHIFT]
     if len(shift_bits) < p:
         raise FsmwmError("transcript shorter than the setting preamble")
     decoded_setting = bits_to_int(shift_bits[:p]) + 1
-    if setting is None:
-        setting = decoded_setting
+    perm = permutation_by_index(t.n_b, decoded_setting if setting is None else setting)
     payload = []
     rest = shift_bits[p:]
     if len(rest) % t.n_b:
         raise FsmwmError(f"transcript ends inside a frame: {len(rest)} shifted "
                          f"bits after the preamble are not whole {t.n_b}-bit frames")
     for off in range(0, len(rest), t.n_b):
-        frame = invert_perm(rest[off:off + t.n_b], setting)
+        frame = invert_perm(rest[off:off + t.n_b], perm)
         payload.append((bits_to_int(frame[:t.omega]), bits_to_int(frame[t.omega:])))
     return decoded_setting, payload
 

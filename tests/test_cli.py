@@ -465,3 +465,36 @@ def test_undecodable_input_exits_3(tmp_path, capsys):
     assert main(["extract-cg", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decode_scan_refuses_impossible_setting(tmp_path, capsys):
+    # The preamble encodes setting 8 of a 3-bit register (3! = 6); no frame follows.
+    t = tmp_path / "t.txt"
+    t.write_text("3 1 2 0\n0 1 0 1 Shift\n1 0 0 1 Shift\n2 0 0 1 Shift\n")
+    assert main(["decode-scan", str(t)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "out of range" in err
+
+
+def test_machine_with_symbol_vertices_is_not_a_graph(tmp_path, capsys):
+    # Only a top-level "vertices" key makes a graph document.
+    m = Fsm(frozenset({0, 1}), ("vertices",), ("o",), 0,
+            {(0, "vertices"): (1, "o"), (1, "vertices"): (0, "o")})
+    path = tmp_path / "m.json"
+    path.write_text(format_fsm(m))
+    graph = tmp_path / "g.json"
+    assert main(["extract-cg", str(path), "-o", str(graph)]) == 0
+    assert main(["lpr", str(graph), "-m", "2"]) == 0
+    want = capsys.readouterr().out
+    assert main(["lpr", str(path), "-m", "2"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_kiss2_input_width_cap_exits_3(tmp_path, capsys):
+    kiss = tmp_path / "wide.kiss2"
+    kiss.write_text(".i 17\n.o 1\n.r a\n" + "0" * 17 + " a a 1\n")
+    assert main(["extract-cg", str(kiss)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap of 16 input bits" in err
+    kiss.write_text(".i 16\n.o 1\n.r a\n" + "0" * 16 + " a a 1\n")
+    assert main(["extract-cg", str(kiss)]) == 0

@@ -1,6 +1,7 @@
 """Path search, sizing operators and the multi-branch reduction."""
 
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,32 @@ def test_longest_path_matches_exhaustive_oracle(rng):
         g = random_graph(rng, rng.randint(1, 8))
         oracle = max(all_simple_paths_from(g, g.root), key=lambda p: (len(p), p))
         assert longest_simple_path(g).vertices == oracle
+
+
+def test_longest_path_matches_oracle_with_unreachable_vertices(rng):
+    # Sparse graphs plus vertices the root cannot reach, some of which
+    # point into the reachable part: the search stops at the reachable set.
+    from fsmwm import ConnGraph
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 7), density=rng.choice((0.15, 0.3, 0.5)))
+        m = len(g.vertices)
+        extra = range(m, m + rng.randint(1, 3))
+        edges = set(g.edges) | {(u, rng.randrange(m + len(extra))) for u in extra}
+        g = ConnGraph(g.vertices | frozenset(extra), frozenset(edges), 0)
+        oracle = max(all_simple_paths_from(g, g.root), key=lambda p: (len(p), p))
+        assert longest_simple_path(g).vertices == oracle
+
+
+def test_longest_path_stops_at_reachable_set():
+    # A root linked to an 11-clique, plus one vertex it cannot reach: the
+    # first path through the clique is the answer.
+    from fsmwm import ConnGraph
+    clique = range(1, 12)
+    edges = {(0, v) for v in clique} | {(u, v) for u in clique for v in clique if u != v}
+    g = ConnGraph(frozenset(range(13)), frozenset(edges | {(12, 0)}), 0)
+    t0 = time.perf_counter()
+    assert longest_simple_path(g).vertices == (0, *range(11, 0, -1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_longest_path_prefers_lexically_larger():

@@ -48,7 +48,7 @@ def test_apply_invert_round_trip(rng):
     for _ in range(50):
         n = rng.randint(1, 8)
         bits = [rng.randint(0, 1) for _ in range(n)]
-        i = rng.randint(1, math.factorial(n))
+        i = permutation_by_index(n, rng.randint(1, math.factorial(n)))
         assert invert_perm(apply_perm(bits, i), i) == bits
 
 
@@ -167,3 +167,42 @@ def test_session_rejects_narrow_omega():
     with pytest.raises(FsmwmError):
         TapSession(machine, chi=1, omega=2, seed=0)
     assert TapSession(machine, chi=1, omega=3, seed=0).omega == 3
+
+
+def _drive_by_cycles(session, input_values):
+    """Reference for ``drive_frames``: the same schedule, one ``tap_step``
+    per test-clock cycle."""
+    p = setting_bit_width(session.n_b)
+    perm = permutation_by_index(session.n_b, session.setting)
+    for f, value in enumerate(input_values):
+        frame = [0] * session.omega + int_to_bits(value, session.chi)
+        feed = ([0] * p if f == 0 else []) + [frame[i] for i in perm]
+        session.tap_step(1, feed[0])          # enter Shift
+        for bit in feed[1:]:
+            session.tap_step(0, bit)
+        session.tap_step(1, 0)                # enter Assert
+        session.tap_step(1, 0)                # enter Latch
+    return session.transcript
+
+
+def test_frame_shift_matches_cycle_shift(rng):
+    for _ in range(40):
+        machine = random_machine(rng, rng.randint(1, 9), rng.randint(1, 4))
+        chi = rng.randint(0, 3)
+        omega = max(machine.states).bit_length() + rng.randint(0, 3)
+        if chi + omega < 1:
+            omega = 1
+        setting = rng.randint(1, math.factorial(chi + omega))
+        values = [rng.randrange(1 << chi) for _ in range(rng.randint(1, 6))]
+        # Some sessions start from a TAP state other than Latch.
+        lead = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(rng.choice((0, 0, 5)))]
+        sessions = [TapSession(machine, chi, omega, seed=0, setting=setting)
+                    for _ in range(2)]
+        for session in sessions:
+            for tms, tdi in lead:
+                session.tap_step(tms, tdi)
+        frames, cycles = sessions
+        assert drive_frames(frames, values).records == \
+            _drive_by_cycles(cycles, values).records
+        assert (frames.mstate, list(frames.chain), frames.tap_state) == \
+            (cycles.mstate, list(cycles.chain), cycles.tap_state)
