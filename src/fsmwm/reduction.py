@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FsmwmError, HashCollisionError
-from .machine import ConnGraph, Fsm
+from .machine import ConnGraph, Fsm, _reachable
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,9 @@ def longest_simple_path(g: ConnGraph) -> Path:
     path length is not bounded by the interpreter's recursion limit.
     """
     succ = {v: sorted(g.successors(v), reverse=True) for v in g.vertices}
-    reach, todo = {g.root}, [g.root]    # no simple path is longer than this set
-    while todo:
-        for w in succ[todo.pop()]:
-            if w not in reach:
-                reach.add(w)
-                todo.append(w)
-    n = len(reach)
+    moves = {v: [(None, w, None) for w in ws] for v, ws in succ.items()}
+    # no simple path is longer than the set reachable from the root
+    n = len({g.root} | {w for *_, w, _ in _reachable(g.root, moves.__getitem__)})
     best: list[int] = [g.root]
     stack = [g.root]
     on_path = {g.root}

@@ -214,7 +214,7 @@ def drive_frames(session: TapSession, input_values: list[int]) -> Transcript:
     return session.transcript
 
 
-def decode_transcript(t: Transcript, setting: int | None = None):
+def decode_transcript(t: Transcript):
     """Recover the setting and the (state, input-field) payload stream
     from the serial log.  Requires knowledge of the permutation scheme;
     the setting itself is read from the unpermuted preamble, and one
@@ -224,7 +224,7 @@ def decode_transcript(t: Transcript, setting: int | None = None):
     if len(shift_bits) < p:
         raise FsmwmError("transcript shorter than the setting preamble")
     decoded_setting = bits_to_int(shift_bits[:p]) + 1
-    perm = permutation_by_index(t.n_b, decoded_setting if setting is None else setting)
+    perm = permutation_by_index(t.n_b, decoded_setting)
     payload = []
     rest = shift_bits[p:]
     if len(rest) % t.n_b:
