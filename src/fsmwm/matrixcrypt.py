@@ -88,24 +88,18 @@ def build_watermark_machine(key: PermKey, lpr_graph: ConnGraph) -> Fsm:
     return standard_cg_machine(relabel_graph(key, lpr_graph))
 
 
-@dataclass(frozen=True)
-class TracePair:
-    """Synchronized walk of the reduction and its concealed twin."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-
-def trace_pair(lpr_graph: ConnGraph, key: PermKey) -> TracePair:
+def trace_pair(lpr_graph: ConnGraph, key: PermKey) -> tuple[tuple[int, int], ...]:
+    """Synchronized walk of the reduction and its concealed twin: one
+    (vertex, renamed vertex) pair per chain vertex, root first."""
     pi = key.vertex_map(lpr_graph)
-    chain = chain_of(lpr_graph)
-    return TracePair(tuple((u, pi[u]) for u in chain))
+    return tuple((u, pi[u]) for u in chain_of(lpr_graph))
 
 
 def build_decryption_machine(key: PermKey, lpr_graph: ConnGraph) -> Fsm:
     """Verifier-side machine that mimics the reduction but only advances
     on the concealed machine's next emission; any other input leaves it in
     place echoing its current state."""
-    trace = trace_pair(lpr_graph, key).pairs
+    trace = trace_pair(lpr_graph, key)
     chain = [u for u, _ in trace]
     inputs = tuple(str(v) for _, v in sorted(trace, key=lambda p: p[1]))
     transitions = {}

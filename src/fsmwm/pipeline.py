@@ -32,6 +32,17 @@ def state_bits(m: Fsm) -> int:
     return max(1, max(m.states).bit_length())
 
 
+def _omega(m: Fsm, omega: int | None) -> int:
+    """Scan-register width for machine m: its state width by default; a
+    narrower request is refused."""
+    w = state_bits(m)
+    if omega is None:
+        return w
+    if omega < w:
+        raise FsmwmError(f"omega {omega} too narrow; need at least {w} bits")
+    return omega
+
+
 def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
                         omega: int | None = None):
     """Conceal a length-m linear reduction of the host behind a random
@@ -42,14 +53,8 @@ def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
     watermark = build_watermark_machine(key, reduced)
     decoder = build_decryption_machine(key, reduced)
     redux = standard_cg_machine(reduced)
-    chi = 1
-    w = state_bits(watermark)
-    if omega is None:
-        omega = w
-    elif omega < w:
-        raise FsmwmError(f"omega {omega} too narrow; need at least {w} bits")
     package = Package(mode="matrix", host=host, watermark=watermark,
-                      chi=chi, omega=omega, n=m, k=1)
+                      chi=1, omega=_omega(watermark, omega), n=m, k=1)
     secret = Secret(mode="matrix", decoder=decoder, redux=redux)
     return package, secret, key
 
@@ -75,13 +80,8 @@ def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
         pair = minimal_decomposition(redux, cap=cap)
     front = build_independent(redux, pair.pi_i)
     back = build_dependent(redux, pair)
-    chi = branch_input_bits(k)
-    w = state_bits(redux)
-    if omega is None:
-        omega = w
-    elif omega < w:
-        raise FsmwmError(f"omega {omega} too narrow; need at least {w} bits")
     package = Package(mode=mode, host=host, watermark=front,
-                      chi=chi, omega=omega, n=n, k=k)
+                      chi=branch_input_bits(k), omega=_omega(redux, omega),
+                      n=n, k=k)
     secret = Secret(mode=mode, decoder=back, redux=redux)
     return package, secret

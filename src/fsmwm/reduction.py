@@ -7,17 +7,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FsmwmError, HashCollisionError
+from .errors import CapExceededError, FsmwmError, HashCollisionError
 from .machine import ConnGraph, Fsm, _reachable
 
 
 @dataclass(frozen=True)
 class Path:
-    """Ordered vertex string.  ``base_max`` is the radix actually used by
-    the renumbering that produced this path (0 when unrenumbered)."""
+    """Ordered vertex string."""
 
     vertices: tuple[int, ...]
-    base_max: int = 0
 
     def __post_init__(self):
         if not self.vertices:
@@ -25,6 +23,13 @@ class Path:
 
     def __len__(self):
         return len(self.vertices)
+
+
+# Search steps longest_simple_path may take.  The search stays
+# exponential when no simple path covers the root's reachable set (a
+# root linked to a k-clique whose vertices each lead to a leaf of their
+# own needs about 1.1 million steps at k = 8).
+PATH_SEARCH_BUDGET = 1 << 20
 
 
 def longest_simple_path(g: ConnGraph) -> Path:
@@ -36,6 +41,7 @@ def longest_simple_path(g: ConnGraph) -> Path:
     search stop early on paths that cover every vertex reachable from the
     root.  The search keeps one successor iterator per path vertex, so
     path length is not bounded by the interpreter's recursion limit.
+    Raises CapExceededError after ``PATH_SEARCH_BUDGET`` steps.
     """
     succ = {v: sorted(g.successors(v), reverse=True) for v in g.vertices}
     moves = {v: [(None, w, None) for w in ws] for v, ws in succ.items()}
@@ -45,7 +51,9 @@ def longest_simple_path(g: ConnGraph) -> Path:
     stack = [g.root]
     on_path = {g.root}
     pending = [iter(succ[g.root])]
-    while pending and len(best) < n:
+    for _ in range(PATH_SEARCH_BUDGET + 1):
+        if not pending or len(best) >= n:
+            return Path(tuple(best))
         w = next(pending[-1], None)
         if w is None:
             pending.pop()
@@ -56,7 +64,9 @@ def longest_simple_path(g: ConnGraph) -> Path:
             pending.append(iter(succ[w]))
             if len(stack) > len(best) or (len(stack) == len(best) and stack > best):
                 best = list(stack)
-    return Path(tuple(best))
+    raise CapExceededError(
+        f"longest simple path search passed its budget of {PATH_SEARCH_BUDGET} steps"
+    )
 
 
 def repeat_path(p: Path, j: int) -> Path:
@@ -93,7 +103,7 @@ def renumber(p_rep: Path, v_star: int) -> Path:
     out = tuple(
         stride * (t // i) + rank[p_rep.vertices[t]] for t in range(len(p_rep.vertices))
     )
-    return Path(out, base_max=stride)
+    return Path(out)
 
 
 def renumber_inverse(q: Path, v_star: int, base: Path) -> Path:
@@ -114,7 +124,7 @@ def truncate(p: Path, j: int) -> Path:
     """First j vertices; j >= 1 keeps the path nonempty."""
     if not 1 <= j <= len(p):
         raise FsmwmError(f"truncation length {j} out of range 1..{len(p)}")
-    return Path(p.vertices[:j], base_max=p.base_max)
+    return Path(p.vertices[:j])
 
 
 def sized_path(p: Path, m: int) -> Path:

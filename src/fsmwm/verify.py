@@ -15,8 +15,6 @@ from .errors import (
     SemanticError,
 )
 from .machine import Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, run
-from .matrixcrypt import compose_cascade
-from .reduction import branch_input_bits
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +38,7 @@ class Package:
 @dataclass(frozen=True)
 class Secret:
     """What the verifier keeps: the decoding machine and the reference
-    reduction."""
+    machine ``redux`` whose outputs a genuine cascade reproduces."""
 
     mode: str
     decoder: Fsm
@@ -136,32 +134,26 @@ def _compare(expected: list[str], observed: list[str]) -> Verdict:
 
 def watermark_test(package: Package, secret: Secret, branch: int,
                    length: int) -> Verdict:
-    """Three-step protocol: cascade the shipped machine with the decoder,
-    run the reference reduction on the same schedule, compare outputs.
-    A schedule shorter than one step would check nothing, so it is refused."""
+    """Three-step protocol: drive the shipped machine, decode its outputs
+    with the secret decoder, and compare them with the secret's reference
+    machine on the same schedule.  Only the secret decides what is legal:
+    the branch must be an input the reference takes at reset, and a
+    schedule shorter than one step would check nothing."""
     if length < 1:
         raise FsmwmError(f"verification length {length} must be >= 1")
     if package.mode != secret.mode:
         raise SemanticError(
             f"package mode {package.mode!r} does not match secret {secret.mode!r}"
         )
-    if package.mode == "matrix":
-        if branch != 0:
-            raise FsmwmError("matrix-mode packages have a single branch 0")
-        schedule = ["0"] * length
-    else:
-        width = branch_input_bits(package.k)
-        if not 0 <= branch < (1 << width):
-            raise FsmwmError(
-                f"branch encoding {branch} out of range 0..{(1 << width) - 1}"
-            )
-        schedule = [str(branch)] + ["0"] * (length - 1)
-    try:
-        cascade = compose_cascade(package.watermark, secret.decoder)
-    except AlphabetMismatchError as e:
-        raise AlphabetMismatchError(f"wrong secret for this package: {e}") from e
-    observed, _ = run(cascade, schedule)
-    expected, _ = run(secret.redux, schedule)
+    redux, decoder = secret.redux, secret.decoder
+    if (redux.reset, str(branch)) not in redux.transitions:
+        raise FsmwmError(f"the reference machine takes no branch {branch} at reset")
+    if not set(package.watermark.outputs) <= set(decoder.inputs):
+        raise AlphabetMismatchError("wrong secret for this package: the decoder "
+                                    "cannot read every watermark output")
+    schedule = [str(branch)] + ["0"] * (length - 1)
+    observed, _ = run(decoder, run(package.watermark, schedule)[0])
+    expected, _ = run(redux, schedule)
     return _compare(expected, observed)
 
 
@@ -257,26 +249,16 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
             continue
         ticks = tuple(t for t in trace[1:] if t is not None)
         if ticks not in chain_ids:
-            ids = []
-            for _ in ticks:
-                ids.append(next_id)
-                next_id += 1
-            chain_ids[ticks] = ids
+            # a halting stream ends in a state with no steps, so its last
+            # output survives; a settled one ticks in place on its last
+            halted = trace[-1] is None
+            chain_ids[ticks] = list(range(next_id, next_id + len(ticks) + halted))
+            next_id += len(chain_ids[ticks])
         ids = chain_ids[ticks]
-        if not ids:
-            continue
         transitions[0, sym] = (ids[0], trace[0])
         outputs.add(trace[0])
-        halted = trace[-1] is None
         for pos, out in enumerate(ticks):
-            src = ids[pos]
-            if pos + 1 < len(ids):
-                dst = ids[pos + 1]
-            elif halted:
-                continue            # stream ended in a halt: leave the tail open
-            else:
-                dst = src           # stabilized: tail ticks in place
-            transitions[src, "0"] = (dst, out)
+            transitions[ids[pos], "0"] = (ids[min(pos + 1, len(ids) - 1)], out)
             outputs.add(out)
     states = frozenset([0] + [s for ids in chain_ids.values() for s in ids])
     return Fsm(

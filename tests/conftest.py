@@ -38,6 +38,16 @@ def random_graph(rng: random.Random, m: int, density: float = 0.35) -> ConnGraph
     return ConnGraph(vertices=vertices, edges=frozenset(edges), root=0)
 
 
+def clique_with_leaves(k: int) -> ConnGraph:
+    """A root linked to a k-clique whose vertices each lead to a leaf of
+    their own: no simple path covers the reachable set, so the path
+    search tries every order of the clique."""
+    clique = range(1, k + 1)
+    edges = ({(0, v) for v in clique} | {(v, v + k) for v in clique}
+             | {(u, v) for u in clique for v in clique if u != v})
+    return ConnGraph(frozenset(range(2 * k + 1)), frozenset(edges), 0)
+
+
 def dense(g: ConnGraph) -> list[list[int]]:
     """Boolean adjacency matrix, rows and columns in ascending vertex id."""
     ids = sorted(g.vertices)

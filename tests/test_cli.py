@@ -2,13 +2,14 @@
 and byte-identical reruns."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from fsmwm import Fsm, cli, format_fsm, parse_fsm
+from fsmwm import Fsm, cli, format_fsm, format_graph, parse_fsm
 from fsmwm.cli import main
-from conftest import make_host8
+from conftest import clique_with_leaves, make_host8
 
 
 @pytest.fixture
@@ -81,6 +82,49 @@ def test_package_verify_pass_and_fail(host_file, tmp_path):
         for b in range(2)
     ]
     assert 1 in results
+
+
+def _emit(host_file, tmp_path, *argv):
+    p, s = tmp_path / "p.json", tmp_path / "s.json"
+    assert main(["emit-package", host_file, *argv,
+                 "--out-package", str(p), "--out-secret", str(s)]) == 0
+    return p, s
+
+
+def test_verify_refuses_a_package_that_widens_its_branch_count(host_file, tmp_path, capsys):
+    # The secret's reduction takes branches 0..3 at reset; tap.k = 8 in
+    # the package does not make branch 5 legal.
+    p, s = _emit(host_file, tmp_path, "--mode", "fixed", "-n", "4", "-k", "3")
+    doc = json.loads(p.read_text())
+    doc["tap"]["k"] = 8
+    p.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--package", str(p), "--secret", str(s),
+                 "--branch", "5", "--length", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    for b in range(4):
+        assert main(["verify", "--package", str(p), "--secret", str(s),
+                     "--branch", str(b), "--length", "4"]) == 0
+
+
+def test_verify_refuses_a_single_vertex_matrix_bundle(host_file, tmp_path, capsys):
+    # A one-vertex reduction has no step to compare.
+    p, s = _emit(host_file, tmp_path, "--mode", "matrix", "-m", "1")
+    capsys.readouterr()
+    assert main(["verify", "--package", str(p), "--secret", str(s), "--length", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_lpr_path_search_budget_exits_3(tmp_path, capsys):
+    graph = tmp_path / "clique9.json"
+    graph.write_text(format_graph(clique_with_leaves(9)))
+    t0 = time.perf_counter()
+    assert main(["lpr", str(graph), "-m", "6"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget of 1048576 steps" in err
 
 
 def test_emit_package_deterministic(host_file, tmp_path):

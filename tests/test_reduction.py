@@ -6,6 +6,7 @@ import time
 import pytest
 
 from fsmwm import (
+    CapExceededError,
     FsmwmError,
     HashCollisionError,
     LprkSpec,
@@ -27,7 +28,7 @@ from fsmwm import (
     truncate,
 )
 from fsmwm.reduction import chain_of
-from conftest import all_simple_paths_from, make_host8, random_graph
+from conftest import all_simple_paths_from, clique_with_leaves, make_host8, random_graph
 
 
 def test_longest_path_matches_exhaustive_oracle(rng):
@@ -60,6 +61,19 @@ def test_longest_path_stops_at_reachable_set():
     g = ConnGraph(frozenset(range(13)), frozenset(edges | {(12, 0)}), 0)
     t0 = time.perf_counter()
     assert longest_simple_path(g).vertices == (0, *range(11, 0, -1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_longest_path_within_budget_matches_oracle():
+    g = clique_with_leaves(7)
+    oracle = max(all_simple_paths_from(g, g.root), key=lambda p: (len(p), p))
+    assert longest_simple_path(g).vertices == oracle
+
+
+def test_longest_path_budget_refuses_a_larger_clique():
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match="budget of 1048576 steps"):
+        longest_simple_path(clique_with_leaves(9))
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -1,5 +1,6 @@
 """Verification protocol, bundles, probing attacks and equivalence."""
 
+import dataclasses
 import random
 
 import pytest
@@ -41,6 +42,11 @@ def matrix_bundle():
 @pytest.fixture(scope="module")
 def fixed_bundle():
     return build_decomp_bundle(make_host8(), 4, 3, mode="fixed")
+
+
+@pytest.fixture(scope="module")
+def optimal_bundle():
+    return build_decomp_bundle(make_host8(), 2, 2, mode="optimal")
 
 
 def test_package_round_trip(matrix_bundle):
@@ -86,6 +92,47 @@ def test_protocol_branch_range(fixed_bundle):
     package, secret = fixed_bundle
     with pytest.raises(FsmwmError):
         watermark_test(package, secret, 99, 4)
+
+
+def test_optimal_protocol_passes_every_branch(optimal_bundle):
+    package, secret = optimal_bundle
+    for v in range(1 << package.chi):
+        assert watermark_test(package, secret, v, package.n + 1).passed
+
+
+@pytest.mark.parametrize("bundle, branch", [
+    ("matrix_bundle", -1), ("matrix_bundle", 1),
+    ("fixed_bundle", -1), ("fixed_bundle", 4),
+    ("optimal_bundle", -1), ("optimal_bundle", 2),
+])
+def test_protocol_refuses_branches_the_secret_does_not_take(request, bundle, branch):
+    # fixed 4x3 and optimal 2x2 select branches with 2 and 1 input bits
+    package, secret = request.getfixturevalue(bundle)[:2]
+    with pytest.raises(FsmwmError, match=f"takes no branch {branch} at reset"):
+        watermark_test(package, secret, branch, 4)
+
+
+def test_protocol_ignores_the_package_branch_count(fixed_bundle):
+    # A package claiming 8 branches still selects among the secret's 4.
+    package, secret = fixed_bundle
+    widened = dataclasses.replace(package, k=8)
+    with pytest.raises(FsmwmError, match="takes no branch 5"):
+        watermark_test(widened, secret, 5, 4)
+    assert watermark_test(widened, secret, 2, 4) == watermark_test(package, secret, 2, 4)
+
+
+def test_single_vertex_matrix_bundle_checks_nothing_and_is_refused():
+    package, secret, _ = build_matrix_bundle(make_host8(), 1, key_seed=2718)
+    assert not secret.redux.transitions
+    with pytest.raises(FsmwmError, match="takes no branch 0"):
+        watermark_test(package, secret, 0, 4)
+
+
+def test_protocol_refuses_a_secret_that_cannot_read_the_package(matrix_bundle):
+    package, _, _ = matrix_bundle
+    _, secret, _ = build_matrix_bundle(make_host8(), 3, key_seed=1)
+    with pytest.raises(AlphabetMismatchError, match="wrong secret"):
+        watermark_test(package, secret, 0, 4)
 
 
 def test_protocol_mode_mismatch(matrix_bundle, fixed_bundle):
@@ -142,6 +189,50 @@ def test_informed_attack_on_shipped_machine(fixed_bundle):
     rebuilt = informed_attack(oracle, package.chi)
     assert oracle.resets <= 1 << package.chi
     assert bounded_equiv(rebuilt, package.watermark, package.n + 1)
+
+
+def test_informed_attack_keeps_a_branch_that_halts_after_its_first_output():
+    m = Fsm(frozenset({0, 1}), ("0", "1"), ("a", "b"), 0,
+            {(0, "0"): (1, "a"), (0, "1"): (1, "b")})
+    rebuilt = informed_attack(FsmOracle(m, 1), 1)
+    assert bounded_equiv(m, rebuilt, 1)
+    assert full_equiv(m, rebuilt)
+
+
+def _branch_machine(rng: random.Random, chi: int) -> Fsm:
+    """Branch-select machine with holes: reset takes some of the 2**chi
+    inputs, each into a fresh chain that ticks on "0" without repeating an
+    output, then halts or settles in a self-loop."""
+    inputs = tuple(str(v) for v in range(1 << chi))
+    tr, n = {}, 1
+    for sym in inputs:
+        if rng.random() < 0.2:
+            continue                                # a hole at reset
+        tr[0, sym] = (n, rng.choice("abc"))
+        prev = None
+        for _ in range(rng.randint(0, 3)):
+            prev = rng.choice([o for o in "abc" if o != prev])
+            tr[n, "0"] = (n + 1, prev)
+            n += 1
+        if rng.random() < 0.5:                      # settle; otherwise halt
+            tr[n, "0"] = (n, rng.choice([o for o in "abc" if o != prev]))
+        n += 1
+    return Fsm(frozenset(range(n)), inputs, ("a", "b", "c"), 0, tr)
+
+
+def test_informed_attack_rebuilds_branch_machines_with_holes(rng):
+    halted_at_once = 0
+    for _ in range(200):
+        chi = rng.randint(1, 3)
+        m = _branch_machine(rng, chi)
+        halted_at_once += any(
+            (dst, "0") not in m.transitions and dst != 0
+            for (src, _), (dst, _) in m.transitions.items() if src == 0)
+        oracle = FsmOracle(m, chi)
+        rebuilt = informed_attack(oracle, chi)
+        # no probe ticked a branch further than the oracle's step count
+        assert bounded_equiv(m, rebuilt, oracle.steps)
+    assert halted_at_once
 
 
 def test_adversarial_extension_single_run():
