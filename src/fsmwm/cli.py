@@ -104,25 +104,19 @@ def _build_parser():
         help="JSON file of option defaults; explicit flags take precedence",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    sps = {}
 
-    def cmd(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        sps[name] = sp
-        return sp
-
-    sp = cmd("extract-cg", help="connectivity graph of a machine")
+    sp = sub.add_parser("extract-cg", help="connectivity graph of a machine")
     sp.add_argument("machine")
     sp.add_argument("-o", "--out", default="-")
 
-    sp = cmd("lpr", help="sized linear reduction of a host")
+    sp = sub.add_parser("lpr", help="sized linear reduction of a host")
     sp.add_argument("source", help="machine or graph document")
     sp.add_argument("-m", "--size", type=int, required=True)
     sp.add_argument("-o", "--out", default="-")
     sp.add_argument("--as-machine", action="store_true",
                     help="emit the walking machine instead of the graph")
 
-    sp = cmd("lprk", help="multi-branch reduction of a host")
+    sp = sub.add_parser("lprk", help="multi-branch reduction of a host")
     sp.add_argument("source")
     sp.add_argument("-n", "--rows", type=int, required=True)
     sp.add_argument("-k", "--branches", type=int, required=True)
@@ -130,19 +124,19 @@ def _build_parser():
                     help="renumbering bit width; 0 picks the smallest collision-free")
     sp.add_argument("-o", "--out", default="-")
 
-    sp = cmd("encrypt-matrix", help="conceal a linear reduction behind a key")
+    sp = sub.add_parser("encrypt-matrix", help="conceal a linear reduction behind a key")
     sp.add_argument("graph", help="linear reduction graph document")
     sp.add_argument("--seed", type=int, default=DEFAULT_KEY_SEED)
     sp.add_argument("--key", help="existing key file to use instead of the seed")
     sp.add_argument("--out-machine", default="-")
     sp.add_argument("--out-key", help="where to save the generated key")
 
-    sp = cmd("build-decrypt", help="verifier machine for a concealed reduction")
+    sp = sub.add_parser("build-decrypt", help="verifier machine for a concealed reduction")
     sp.add_argument("graph")
     sp.add_argument("--key", required=True)
     sp.add_argument("-o", "--out", default="-")
 
-    sp = cmd("decompose", help="cascade decomposition of a reduction")
+    sp = sub.add_parser("decompose", help="cascade decomposition of a reduction")
     sp.add_argument("machine", help="multi-branch reduction document")
     sp.add_argument("--mode", choices=["fixed", "optimal"], default="fixed")
     sp.add_argument("-n", "--rows", type=int, help="rows (fixed mode)")
@@ -154,7 +148,7 @@ def _build_parser():
     sp.add_argument("--out-front", default="front.json")
     sp.add_argument("--out-back", default="back.json")
 
-    sp = cmd("emit-package", help="build the distributable bundle pair")
+    sp = sub.add_parser("emit-package", help="build the distributable bundle pair")
     sp.add_argument("host")
     sp.add_argument("--mode", choices=["matrix", "fixed", "optimal"],
                     required=True)
@@ -169,13 +163,13 @@ def _build_parser():
     sp.add_argument("--out-secret", default="secret.json")
     sp.add_argument("--out-key", help="key file (matrix mode)")
 
-    sp = cmd("verify", help="run the watermark verification protocol")
+    sp = sub.add_parser("verify", help="run the watermark verification protocol")
     sp.add_argument("--package", required=True)
     sp.add_argument("--secret", required=True)
     sp.add_argument("--branch", type=int, default=0)
     sp.add_argument("--length", type=int, required=True)
 
-    sp = cmd("scan-test", help="drive a machine over the serial test port")
+    sp = sub.add_parser("scan-test", help="drive a machine over the serial test port")
     sp.add_argument("machine")
     sp.add_argument("--chi", type=int, required=True)
     sp.add_argument("--omega", type=int, required=True)
@@ -185,44 +179,53 @@ def _build_parser():
     sp.add_argument("--setting", type=int, help="fixed session setting")
     sp.add_argument("-o", "--out", default="-")
 
-    sp = cmd("decode-scan", help="recover the payload from a serial log")
+    sp = sub.add_parser("decode-scan", help="recover the payload from a serial log")
     sp.add_argument("transcript")
 
-    sp = cmd("attack", help="reconstruct a branch machine from probing")
+    sp = sub.add_parser("attack", help="reconstruct a branch machine from probing")
     sp.add_argument("machine")
     sp.add_argument("--chi", type=int, required=True)
     sp.add_argument("-o", "--out", default="-")
 
-    sp = cmd("validate-partitions", help="check a decomposition pair")
+    sp = sub.add_parser("validate-partitions", help="check a decomposition pair")
     sp.add_argument("machine")
     sp.add_argument("--pi-i", required=True)
     sp.add_argument("--pi-d", required=True)
 
-    return parser, sps
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every call in this process shares."""
-    return _build_parser()[0]
+def _parser():
+    """The parser every call in this process shares, and its subcommands."""
+    return _build_parser()
 
 
 def _parse_args(argv):
-    """Parse on the shared parser; with ``--config``, parse again on a fresh
-    parser whose subcommand defaults come from the file, so explicit flags
-    still win and no default outlives the call."""
-    args = _parser().parse_args(argv)
+    """Parse on the shared parser.  With ``--config``, each file entry that
+    names an optional flag of the chosen subcommand becomes that flag, right
+    after the subcommand name, and the same parser parses again: the entry
+    is checked like the flag, and an explicit flag, later in argv, wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subcommands = _parser()
+    args = parser.parse_args(argv)
     if not args.config:
         return args
-    with open(args.config, "r", encoding="utf-8") as f:
-        config = json.load(f)
+    config = json.loads(_read(args.config))
     if not isinstance(config, dict):
         raise FsmwmError("config file must hold a JSON object")
-    parser, sps = _build_parser()
-    sp = sps[args.cmd]
-    dests = {a.dest for a in sp._actions}
-    sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
-    return parser.parse_args(argv)
+    flags = []
+    for a in subcommands[args.cmd]._actions:
+        if a.option_strings and not a.required and a.dest in config:
+            flag, value = a.option_strings[-1], config[a.dest]
+            if a.nargs != 0:
+                flags.append(f"{flag}={value}")
+            elif value and a.dest != "help":    # a store_true flag
+                flags.append(flag)
+    i = 0
+    while argv[i] != args.cmd:          # past --config and its value
+        i += 1 if "=" in argv[i] else 2
+    return parser.parse_args(argv[:i + 1] + flags + argv[i + 1:])
 
 
 def _run(args) -> int:

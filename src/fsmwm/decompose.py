@@ -209,18 +209,12 @@ def lprk_layout(lprk: Fsm, n: int, k: int):
 
 def fixed_partitions_lprk(lprk: Fsm, n: int, k: int) -> PartitionPair:
     """Known-form decomposition: columns (plus the start in its own
-    block) for the independent side, rows for the dependent side.
-    Re-verified, since a construction bug here would poison everything
-    downstream."""
+    block) for the independent side, rows for the dependent side."""
     start, columns = lprk_layout(lprk, n, k)
     pi_i = Partition.of([{start}] + [set(col) for col in columns])
     pi_d = Partition.of(
         [{start}] + [{col[r] for col in columns} for r in range(n)]
     )
-    if not (is_input_preserving(lprk, pi_i) and is_input_preserving(lprk, pi_d)):
-        raise FsmwmError("internal error: fixed partitions are not input-preserving")
-    if not is_orthogonal(pi_i, pi_d):
-        raise FsmwmError("internal error: fixed partitions are not orthogonal")
     return PartitionPair(pi_i, pi_d)
 
 

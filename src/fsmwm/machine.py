@@ -268,14 +268,6 @@ def format_fsm(m: Fsm) -> str:
     return _fsm_text(m) + "\n"
 
 
-def graph_to_doc(g: ConnGraph) -> dict:
-    return {
-        "vertices": sorted(g.vertices),
-        "edges": [list(e) for e in sorted(g.edges)],
-        "root": g.root,
-    }
-
-
 def graph_from_doc(doc: dict) -> ConnGraph:
     edges = set()
     for e in _field(doc, "edges", list):
@@ -295,7 +287,10 @@ def parse_graph(text: str) -> ConnGraph:
 
 
 def format_graph(g: ConnGraph) -> str:
-    return _dump_doc(graph_to_doc(g))
+    """Byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``, built directly."""
+    edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in sorted(g.edges)]
+    return (f'{{\n  "edges": {_json_list(edges)},\n  "root": {g.root},\n'
+            f'  "vertices": {_json_list([str(v) for v in sorted(g.vertices)])}\n}}\n')
 
 
 def parse_kiss2(text: str) -> Fsm:

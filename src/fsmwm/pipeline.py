@@ -6,7 +6,6 @@ from __future__ import annotations
 from .errors import FsmwmError
 from .machine import Fsm, connectivity_graph, standard_cg_machine
 from .matrixcrypt import (
-    PermKey,
     build_decryption_machine,
     build_watermark_machine,
     random_perm_key,

@@ -10,10 +10,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import FsmwmError
+from .errors import CapExceededError, FsmwmError
 from .machine import Fsm
 
 LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
+# Widest scan register, chi + omega bits: a setting of 1024! has 2,640
+# digits, under Python's 4,300-digit limit for printing an integer.
+MAX_REGISTER_BITS = 1024
 _NEXT = {LATCH: SHIFT, SHIFT: ASSERT, ASSERT: LATCH}
 _BIT = {"0": 0, "1": 1}
 
@@ -110,6 +113,9 @@ def parse_transcript(text: str) -> Transcript:
     if chi < 0 or omega < 0 or n_b != chi + omega or n_b < 1:
         raise FsmwmError(f"transcript header {lines[0]!r} needs "
                          "chi, omega >= 0 and n_b = chi + omega >= 1")
+    if n_b > MAX_REGISTER_BITS:
+        raise CapExceededError(f"transcript register of {n_b} bits is past "
+                               f"the {MAX_REGISTER_BITS}-bit cap")
     t = Transcript(n_b, chi, omega, seed)
     for expect, ln in enumerate(lines[1:]):
         try:
@@ -140,6 +146,9 @@ class TapSession:
         if chi < 0 or chi + omega < 1:
             raise FsmwmError(f"register of chi={chi} input and omega={omega} state "
                              "bits needs chi >= 0 and chi + omega >= 1")
+        if chi + omega > MAX_REGISTER_BITS:
+            raise CapExceededError(f"register of {chi + omega} bits is past "
+                                   f"the {MAX_REGISTER_BITS}-bit cap")
         need = max(machine.states).bit_length()
         if omega < need:
             raise FsmwmError(f"omega {omega} too narrow; need at least {need} bits")

@@ -5,7 +5,7 @@ equivalence checking."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AlphabetMismatchError,

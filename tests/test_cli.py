@@ -300,6 +300,78 @@ def test_config_defaults_do_not_outlive_the_call(host_file, tmp_path,
     assert (tmp_path / "secret.json").read_bytes() == secret
 
 
+@pytest.mark.parametrize("config, command, flag", [
+    ({"setting": 1.5}, ["scan-test", "{lk}", "--chi", "2", "--omega", "8", "--steps", "2"],
+     "--setting: invalid int value: '1.5'"),
+    ({"branch": 1.5}, ["scan-test", "{lk}", "--chi", "2", "--omega", "8", "--steps", "2"],
+     "--branch: invalid int value: '1.5'"),
+    ({"width": 2.5}, ["lprk", "{host}", "-n", "4", "-k", "3"],
+     "--width: invalid int value: '2.5'"),
+    ({"cap": None}, ["emit-package", "{host}", "--mode", "optimal", "-n", "2", "-k", "2"],
+     "--cap: invalid int value: 'None'"),
+    ({"mode": "weird"}, ["decompose", "{lk22}", "-n", "2", "-k", "2"],
+     "--mode: invalid choice: 'weird'"),
+    ({"rows": True, "branches": True}, ["emit-package", "{host}", "--mode", "fixed"],
+     "--rows: invalid int value: 'True'"),
+], ids=["setting", "branch", "width", "cap", "mode", "rows"])
+def test_config_values_are_checked_like_flags(host_file, tmp_path, monkeypatch,
+                                              capsys, config, command, flag):
+    monkeypatch.chdir(tmp_path)
+    names = {"host": host_file, "lk": "lk.json", "lk22": "lk22.json"}
+    assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", "lk.json"]) == 0
+    assert main(["lprk", host_file, "-n", "2", "-k", "2", "-o", "lk22.json"]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as e:
+        main(["--config", "cfg.json"] + [arg.format(**names) for arg in command])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "host.json", "lk.json", "lk22.json"]
+
+
+def test_config_out_is_a_file_name(host_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": 1}))
+    assert main(["--config", "cfg.json", "extract-cg", host_file]) == 0
+    assert json.loads((tmp_path / "1").read_text())["root"] == 0
+    print("stdout still open")
+    assert capsys.readouterr().out == "stdout still open\n"
+
+
+@pytest.mark.parametrize("option", [["--config={cfg}"], ["--conf", "{cfg}"]],
+                         ids=["equals", "abbreviated"])
+def test_config_option_forms(host_file, tmp_path, option):
+    cfg, lk = tmp_path / "cfg.json", tmp_path / "lk.json"
+    cfg.write_text(json.dumps({"out": str(lk)}))
+    argv = [arg.format(cfg=cfg) for arg in option]
+    assert main(argv + ["lprk", host_file, "-n", "2", "-k", "2"]) == 0
+    assert len(parse_fsm(lk.read_text()).states) == 5
+
+
+def test_config_cannot_supply_a_required_flag(host_file, tmp_path, capsys):
+    p, s = _tampered_bundle(host_file, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": 4}))
+    with pytest.raises(SystemExit) as e:
+        main(["--config", str(cfg), "verify", "--package", str(p), "--secret", str(s)])
+    assert e.value.code == 2
+    assert "--length" in capsys.readouterr().err
+
+
+def test_config_calls_share_one_parser(host_file, tmp_path, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cfg = tmp_path / "cfg.json"
+    for n in ("2", "3"):
+        cfg.write_text(json.dumps({"width": 0, "out": str(tmp_path / f"lk{n}.json")}))
+        assert main(["--config", str(cfg), "lprk", host_file, "-n", n, "-k", "2"]) == 0
+    assert built == [1]
+    assert (tmp_path / "lk2.json").exists() and (tmp_path / "lk3.json").exists()
+
+
 def test_one_parser_serves_every_subcommand(host_file, tmp_path, capsys):
     assert cli._parser() is cli._parser()
     cg, lk, t = (str(tmp_path / n) for n in ("cg.json", "lk.json", "t.txt"))
@@ -451,6 +523,25 @@ def test_scan_test_refuses_empty_register(tmp_path, capsys):
         "transitions": [{"from": 0, "in": "0", "to": 0, "out": "a"}]}))
     assert main(["scan-test", str(one), "--chi", "0", "--omega", "0", "--steps", "1"]) == 3
     assert "chi + omega >= 1" in capsys.readouterr().err
+
+
+def test_register_width_cap(host_file, tmp_path, capsys):
+    lk, t = tmp_path / "lk.json", tmp_path / "t.txt"
+    assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
+    scan = ["scan-test", str(lk), "--chi", "2", "--steps", "2", "-o", str(t), "--omega"]
+    assert main(scan + ["1023"]) == 3
+    assert "register of 1025 bits is past the 1024-bit cap" in capsys.readouterr().err
+    assert not t.exists()
+    assert main(scan + ["1022"]) == 0
+    assert t.read_text().startswith("1024 2 1022 ")
+    assert main(["decode-scan", str(t)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("setting ") and len(out) == 4
+    # A header past the cap is refused before any record is read.
+    t.write_text("1025 2 1023 31415\n" + t.read_text().split("\n", 1)[1])
+    assert main(["decode-scan", str(t)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "transcript register of 1025 bits is past" in err
 
 
 def _cycling_ticks(tmp_path):

@@ -1,9 +1,11 @@
 """Command-line fuzzing: every subcommand, in process, on genuine small
 files that are kept, truncated or changed in one byte, with integer
-options drawn around their limits.  Every call must end with exit 0, 2
-or 3 (1 only as a failed verdict) and print no traceback."""
+options drawn around their limits, and a third of the time a ``--config``
+file of drawn values.  Every call must end with exit 0, 2 or 3 (1 only
+as a failed verdict) and print no traceback."""
 
 import io
+import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,6 +22,20 @@ HOST8 = Path(__file__).resolve().parent.parent / "assets" / "host8.json"
 # Bytes a one-byte change writes: mostly ones that keep JSON, KISS2 and
 # the text formats parseable a little longer, plus any byte at all.
 BYTE = st.sampled_from(b'0123456789-{}[]",: \n') | st.integers(0, 255)
+
+# Config values: every JSON type, mostly ones a flag does not take.
+SCALAR = (st.none() | st.booleans() | st.integers(-2, 40) | st.floats(-2, 40)
+          | st.text(max_size=3))
+VALUE = SCALAR | st.lists(SCALAR, min_size=1, max_size=1)
+# Each subcommand's optional flags that are not paths, by destination: a
+# flag with neither a type nor choices names a file, and config files
+# leave those out so the fuzz writes only in its temp dir.
+CONFIGURABLE = {
+    name: sorted(a.dest for a in sp._actions
+                 if a.option_strings and not a.required and a.dest != "help"
+                 and (a.type or a.choices or a.nargs == 0))
+    for name, sp in cli._build_parser()[1].items()
+}
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +98,17 @@ class Args:
     def out(self, name: str) -> str:
         return os.path.join(self.tmp, "out-" + name)
 
+    def config(self, cmd: str) -> list[str]:
+        """A third of the draws: ``--config`` with a file over the
+        subcommand's configurable flags."""
+        if self.data.draw(st.integers(0, 2)):
+            return []
+        doc = self.data.draw(st.fixed_dictionaries(
+            {}, optional=dict.fromkeys(CONFIGURABLE[cmd], VALUE)), label="config")
+        path = os.path.join(self.tmp, "config.json")
+        Path(path).write_text(json.dumps(doc))
+        return ["--config", path]
+
 
 def _emit_package(a: Args):
     mode = a.choice("matrix", "fixed", "optimal")
@@ -114,10 +141,10 @@ COMMANDS = {
     "emit-package": _emit_package,
     "verify": lambda a: ["verify", "--package", a.file("package.json"),
                          "--secret", a.file("secret.json"),
-                         *a.int("--branch"), *a.int("--length")],
+                         *a.choice([], a.int("--branch")), *a.int("--length")],
     "scan-test": lambda a: [
         "scan-test", a.file("lk.json", "front.json"), *a.int("--chi"),
-        *a.int("--omega"), *a.int("--branch"), *a.int("--steps"),
+        *a.int("--omega"), *a.choice([], a.int("--branch")), *a.int("--steps"),
         *a.choice([], a.int("--setting")), "-o", a.out("t")],
     "decode-scan": lambda a: ["decode-scan", a.file("t.txt")],
     "attack": lambda a: ["attack", a.file("front.json", "lk.json", "back.json"),
@@ -148,7 +175,8 @@ def test_every_subcommand_is_fuzzed():
 @given(data=st.data())
 def test_cli_exits_cleanly_on_corrupted_input(genuine, cmd, data):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = COMMANDS[cmd](Args(data, genuine, tmp))
+        a = Args(data, genuine, tmp)
+        argv = a.config(cmd) + COMMANDS[cmd](a)
         code, err = _call(argv)
     assert "Traceback" not in err
     assert code in (0, 2, 3) or (code == 1 and cmd in VERDICTS), (argv, code, err)

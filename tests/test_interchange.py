@@ -1,13 +1,13 @@
-"""Byte identity of the direct machine writer: every machine document,
-package and secret reads exactly as ``json.dumps(doc, sort_keys=True,
-indent=2)`` of the dict-built document, and parses back to the same
-machine."""
+"""Byte identity of the direct writers: every machine document, graph
+document, package and secret reads exactly as ``json.dumps(doc,
+sort_keys=True, indent=2)`` of the dict-built document, and parses back
+to the same value."""
 
 import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from fsmwm import Fsm, format_fsm, parse_fsm
+from fsmwm import ConnGraph, Fsm, format_fsm, format_graph, parse_fsm, parse_graph
 from fsmwm.verify import (
     Package,
     Secret,
@@ -56,6 +56,28 @@ def test_format_fsm_is_json_dumps_of_the_document(m):
     text = format_fsm(m)
     assert text == _oracle(oracle_doc(m))
     assert parse_fsm(text) == m
+
+
+@st.composite
+def graphs(draw):
+    vertices = sorted(draw(st.sets(st.integers(0, 2**40), min_size=1, max_size=8)))
+    vertex = st.sampled_from(vertices)
+    return ConnGraph(vertices=frozenset(vertices),
+                     edges=frozenset(draw(st.sets(st.tuples(vertex, vertex)))),
+                     root=draw(vertex))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+@example(ConnGraph(frozenset({0}), frozenset(), 0))
+def test_format_graph_is_json_dumps_of_the_document(g):
+    text = format_graph(g)
+    assert text == _oracle({
+        "vertices": sorted(g.vertices),
+        "edges": [list(e) for e in sorted(g.edges)],
+        "root": g.root,
+    })
+    assert parse_graph(text) == g
 
 
 @settings(max_examples=60, deadline=None)
