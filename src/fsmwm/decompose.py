@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import indexOf
 
 from .errors import (
     CapExceededError,
@@ -75,42 +76,62 @@ class PartitionPair:
     pi_d: Partition
 
 
-def _successor_rows(m: Fsm, states) -> list[list]:
-    """Per input, the index into ``states`` of each state's successor
-    (None where undefined)."""
+# Work units one lattice search may spend: every state placement the
+# enumeration tries plus every orthogonality probe of the pair search.
+# The densest host8 shape it answers, the star (1, 9), spends 811,302;
+# the stars (1, 10) and (1, 11) are refused.
+SP_SEARCH_BUDGET = 1 << 20
+
+
+def _over_budget() -> CapExceededError:
+    return CapExceededError(f"lattice search passed its budget of {SP_SEARCH_BUDGET} steps")
+
+
+def _sp_tables(m: Fsm, states) -> tuple[list[int], list[list]]:
+    """Per state index i: the inputs it defines, as a bit mask, and the
+    steps ``(a, x, c)`` (state a goes to state c under input number x)
+    that become judgeable once states 0..i are placed, namely i's own
+    steps into placed states and the steps of placed predecessors into
+    i."""
     index = {s: i for i, s in enumerate(states)}
-    steps = m.transitions
-    return [[index[steps[s, sym][0]] if (s, sym) in steps else None for s in states]
-            for sym in m.inputs]
+    domains = [0] * len(states)
+    steps: list[list] = [[] for _ in states]
+    for x, sym in enumerate(m.inputs):
+        for a, s in enumerate(states):
+            move = m.transitions.get((s, sym))
+            if move is not None:
+                c = index[move[0]]
+                domains[a] |= 1 << x
+                steps[max(a, c)].append((a, x, c))
+    return domains, steps
 
 
-def _preserves(rows, assign, placed: int) -> bool:
-    """Input-preserving test on the first ``placed`` states: under every
-    input the states of a block are all undefined or all lead into one
-    block.  A successor not yet placed is not judged, so a prefix that
-    fails fails in every extension; with every state placed this is the
-    whole test."""
-    for row in rows:
-        image: dict[int, int] = {}
-        for i in range(placed):
-            t = row[i]
-            if t is None:
-                v = -1
-            elif t < placed:
-                v = assign[t]
-            else:
-                continue
-            if image.setdefault(assign[i], v) != v:
-                return False
+def _place(steps, assign, image, width: int, undo: list) -> bool:
+    """Record the image block of each step's (block, input) in ``image``;
+    False at the first step whose image disagrees with the one recorded.
+    New entries go on ``undo``."""
+    for a, x, c in steps:
+        slot = assign[a] * width + x
+        seen = image[slot]
+        if seen is None:
+            image[slot] = assign[c]
+            undo.append(slot)
+        elif seen != assign[c]:
+            return False
     return True
 
 
 def is_input_preserving(m: Fsm, pi: Partition) -> bool:
-    """Blockwise consistency under every input.  A defined/undefined
-    mismatch inside a block fails the check."""
+    """Blockwise consistency under every input: the states of a block
+    define the same inputs, and each input leads them into one block."""
     if pi.states != tuple(sorted(m.states)):
         raise PartitionError("partition does not cover the state set")
-    return _preserves(_successor_rows(m, pi.states), pi.assign, len(pi.states))
+    domains, steps = _sp_tables(m, pi.states)
+    block_domain: dict[int, int] = {}
+    if any(block_domain.setdefault(b, d) != d for b, d in zip(pi.assign, domains)):
+        return False
+    image = [None] * (len(pi) * len(m.inputs))
+    return all(_place(s, pi.assign, image, len(m.inputs), []) for s in steps)
 
 
 def is_orthogonal(p1: Partition, p2: Partition) -> bool:
@@ -120,64 +141,126 @@ def is_orthogonal(p1: Partition, p2: Partition) -> bool:
     return len(set(zip(p1.assign, p2.assign))) == len(p1.states)
 
 
-def enumerate_sp_partitions(m: Fsm, max_states: int = 12) -> list[Partition]:
-    """Every input-preserving partition, in restricted-growth order.  The
-    search places states one at a time and drops every prefix that is
-    already not input-preserving.  Refuses machines above the cap: the
-    lattice can grow with the Bell numbers."""
+def _sp_search(m: Fsm, max_states: int) -> tuple[list[Partition], int]:
+    """Every input-preserving partition in restricted-growth order, and
+    the placements tried.  States are placed one at a time; a placement
+    checks only the steps it makes judgeable and is undone on
+    backtracking, so a prefix that fails is dropped with all its
+    extensions."""
     states = tuple(sorted(m.states))
     n = len(states)
     if n > max_states:
         raise CapExceededError(
             f"machine has {n} states; exhaustive lattice search capped at {max_states}"
         )
-    rows = _successor_rows(m, states)
+    domains, steps = _sp_tables(m, states)
+    preds = [[(a, x) for a, x, c in s if c == i and a < i] for i, s in enumerate(steps)]
+    width = len(m.inputs)
     assign = [0] * n
+    block_domain = [0] * n
+    image: list = [None] * (n * width)
+    undo: list[int] = []
     found = []
+    placements = 0
 
-    def extend(placed: int, top: int):
-        if not _preserves(rows, assign, placed):
-            return
-        if placed == n:
+    def extend(i: int, top: int):
+        nonlocal placements
+        if i == n:
             found.append(Partition(states, tuple(assign)))
             return
-        for b in range(top + 2):
-            assign[placed] = b
-            extend(placed + 1, max(top, b))
+        # A placed predecessor whose block already has an image under the
+        # step's input leaves state i only that block; two such images
+        # leave it none, and each try fails.
+        forced = {image[assign[a] * width + x] for a, x in preds[i]}
+        forced.discard(None)
+        blocks = forced or range(top + 2)
+        placements += len(blocks)
+        if placements > SP_SEARCH_BUDGET:
+            raise _over_budget()
+        for b in blocks:
+            if b > top:
+                block_domain[b] = domains[i]
+            elif block_domain[b] != domains[i]:
+                continue
+            assign[i] = b
+            mark = len(undo)
+            if _place(steps[i], assign, image, width, undo):
+                extend(i + 1, max(top, b))
+            for slot in undo[mark:]:
+                image[slot] = None
+            del undo[mark:]
 
     if n:
-        extend(1, 0)
-    return found
+        extend(0, -1)
+    return found, placements
+
+
+def enumerate_sp_partitions(m: Fsm, max_states: int = 12) -> list[Partition]:
+    """Every input-preserving partition, in restricted-growth order.
+    Refuses machines above the cap, and a search past
+    ``SP_SEARCH_BUDGET``: the lattice can grow with the Bell numbers."""
+    return _sp_search(m, max_states)[0]
+
+
+def _pair_mask(assign) -> int:
+    """One bit per pair of states in one block: bit j*(j-1)/2 + i for
+    states i < j.  Two partitions are orthogonal iff their masks are
+    disjoint."""
+    members = [0] * len(assign)
+    mask = 0
+    for j, b in enumerate(assign):
+        mask |= members[b] << (j * (j - 1) // 2)
+        members[b] |= 1 << j
+    return mask
 
 
 def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
     """Exhaustive lattice search for the orthogonal pair with the fewest
     total blocks; trivial pairs (involving the singleton or the one-block
     partition) are excluded.  Deterministic tie-break on block signatures.
-    Candidates go by block count: an orthogonal pair needs
-    ``|pi_1| * |pi_2| >= n``, and a pair past the best total is skipped
-    with all that follow it."""
+
+    Totals are tried in ascending order, each split into block counts
+    with ``|pi_1| * |pi_2| >= n``.  A partition is skipped where its
+    largest block outnumbers the other side's blocks, since the states of
+    one block need distinct blocks in its partner.  Each group is in
+    signature order, so a pi_1's first orthogonal partner is its best and
+    a group ends at the first pi_1 past the best pair so far.  Refuses a
+    search whose placements plus pair probes pass ``SP_SEARCH_BUDGET``."""
     n = len(m.states)
-    candidates = sorted((len(p), p.signature(), p)
-                        for p in enumerate_sp_partitions(m, cap) if 1 < len(p) < n)
-    best = None
-    best_key = None
-    for len1, sig1, p1 in candidates:
-        for len2, sig2, p2 in candidates:
-            if len1 * len2 < n:
+    found, spent = _sp_search(m, cap)
+    groups: dict[int, list] = {}
+    for p in found:
+        if 1 < len(p) < n:
+            sig = p.signature()
+            groups.setdefault(len(sig), []).append(
+                (sig, max(map(len, sig)), _pair_mask(p.assign), p))
+    for group in groups.values():
+        group.sort(key=lambda c: c[0])
+    for total in range(4, 2 * n - 1):
+        best = None
+        for len1 in range(2, total - 1):
+            len2 = total - len1
+            if len1 * len2 < n or len1 not in groups or len2 not in groups:
                 continue
-            if best_key is not None and len1 + len2 > best_key[0]:
-                break
-            if not is_orthogonal(p1, p2):
-                continue
-            key = (len1 + len2, sig1, sig2)
-            if best_key is None or key < best_key:
-                best, best_key = PartitionPair(p1, p2), key
-    if best is None:
-        raise NoNontrivialDecompositionError(
-            "only trivial orthogonal pairs exist for this machine"
-        )
-    return best
+            partners = [c for c in groups[len2] if c[1] <= len1]
+            # the trailing 0 ends a scan that finds no orthogonal partner
+            masks = [c[2] for c in partners] + [0]
+            for sig1, big1, mask1, p1 in groups[len1]:
+                if best is not None and sig1 > best[0]:
+                    break
+                if big1 > len2:
+                    continue
+                j = indexOf(map(mask1.__and__, masks), 0)
+                spent += min(j + 1, len(partners))
+                if spent > SP_SEARCH_BUDGET:
+                    raise _over_budget()
+                if j < len(partners):
+                    best = (sig1, p1, partners[j][3])
+        if best is not None:
+            return PartitionPair(best[1], best[2])
+    raise NoNontrivialDecompositionError(
+        "only trivial orthogonal pairs exist for this machine"
+    )
 
 
 def lprk_layout(lprk: Fsm, n: int, k: int):

@@ -64,7 +64,8 @@ def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
     """Conceal a k-branch reduction as a two-machine cascade.
 
     ``mode`` picks the decomposition: "fixed" uses the known column/row
-    pair; "optimal" searches the whole partition lattice (capped).
+    pair; "optimal" searches the whole partition lattice (under its state
+    cap and step budget).
     Returns (package, secret).
     """
     if mode not in ("fixed", "optimal"):

@@ -17,6 +17,10 @@ LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
 # Widest scan register, chi + omega bits: a setting of 1024! has 2,640
 # digits, under Python's 4,300-digit limit for printing an integer.
 MAX_REGISTER_BITS = 1024
+# Most steps one scan test drives: the transcript holds a record per
+# clock cycle, chi + omega + 2 of them a step, and a scan test of a
+# 10-bit register at the cap peaks near 62 MB.
+MAX_SCAN_STEPS = 1 << 14
 _NEXT = {LATCH: SHIFT, SHIFT: ASSERT, ASSERT: LATCH}
 _BIT = {"0": 0, "1": 1}
 
@@ -252,10 +256,13 @@ def scan_watermark_test(machine: Fsm, chi: int, omega: int, branch: int,
 
     The schedule is the branch selector, steps-1 ticks, and one trailing
     tick whose frame flushes the final latched state out of the register.
+    Refuses more than ``MAX_SCAN_STEPS`` steps.
     """
     session = TapSession(machine, chi, omega, seed, setting=setting)
     if not 0 <= branch < 1 << chi:
         raise FsmwmError(f"branch {branch} does not fit chi={chi} input bits")
     if steps < 1:
         raise FsmwmError(f"step count {steps} must be >= 1")
+    if steps > MAX_SCAN_STEPS:
+        raise CapExceededError(f"step count {steps} is past the cap of {MAX_SCAN_STEPS}")
     return drive_frames(session, [branch] + [0] * steps)

@@ -132,15 +132,24 @@ def _compare(expected: list[str], observed: list[str]) -> Verdict:
     return Verdict(True, None, tuple(expected), tuple(observed))
 
 
+# Longest verification schedule: both runs and the verdict hold every
+# step, and a verify at the cap peaks near 56 MB.
+MAX_VERIFY_LENGTH = 1 << 20
+
+
 def watermark_test(package: Package, secret: Secret, branch: int,
                    length: int) -> Verdict:
     """Three-step protocol: drive the shipped machine, decode its outputs
     with the secret decoder, and compare them with the secret's reference
     machine on the same schedule.  Only the secret decides what is legal:
     the branch must be an input the reference takes at reset, and a
-    schedule shorter than one step would check nothing."""
+    schedule shorter than one step would check nothing, and one past
+    ``MAX_VERIFY_LENGTH`` is refused."""
     if length < 1:
         raise FsmwmError(f"verification length {length} must be >= 1")
+    if length > MAX_VERIFY_LENGTH:
+        raise CapExceededError(f"verification length {length} is past the cap "
+                               f"of {MAX_VERIFY_LENGTH}")
     if package.mode != secret.mode:
         raise SemanticError(
             f"package mode {package.mode!r} does not match secret {secret.mode!r}"

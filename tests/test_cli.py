@@ -9,6 +9,8 @@ import pytest
 
 from fsmwm import Fsm, cli, format_fsm, format_graph, parse_fsm
 from fsmwm.cli import main
+from fsmwm.scanchain import MAX_SCAN_STEPS
+from fsmwm.verify import MAX_VERIFY_LENGTH
 from conftest import clique_with_leaves, make_host8
 
 
@@ -176,6 +178,17 @@ def test_decompose_optimal_cap_refusal(host_file, tmp_path, capsys):
     code = main(["decompose", str(lk), "--mode", "optimal", "--cap", "5"])
     assert code == 3
     assert "capped" in capsys.readouterr().err
+
+
+def test_emit_package_optimal_budget_exits_3(host_file, tmp_path, capsys):
+    p, s = tmp_path / "p.json", tmp_path / "s.json"
+    t0 = time.perf_counter()
+    assert main(["emit-package", host_file, "--mode", "optimal", "-n", "1", "-k", "11",
+                 "--out-package", str(p), "--out-secret", str(s)]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget of 1048576 steps" in err
+    assert not p.exists() and not s.exists()
 
 
 def test_scan_test_and_decode(host_file, tmp_path, capsys):
@@ -496,6 +509,26 @@ def test_verify_refuses_length_below_one(host_file, tmp_path, capsys, length):
                  "--length", length]) == 3
     out, err = capsys.readouterr()
     assert "PASS" not in out and err.startswith("error: verification length")
+
+
+@pytest.mark.parametrize("length, code", [(MAX_VERIFY_LENGTH, 0), (MAX_VERIFY_LENGTH + 1, 3)])
+def test_verify_length_cap(host_file, tmp_path, capsys, length, code):
+    p, s = _emit(host_file, tmp_path, "--mode", "fixed", "-n", "3", "-k", "2")
+    assert main(["verify", "--package", str(p), "--secret", str(s),
+                 "--length", str(length)]) == code
+    out, err = capsys.readouterr()
+    assert out.startswith("PASS") if code == 0 else err.startswith("error:")
+
+
+@pytest.mark.parametrize("steps, code", [(MAX_SCAN_STEPS, 0), (MAX_SCAN_STEPS + 1, 3)])
+def test_scan_test_steps_cap(host_file, tmp_path, capsys, steps, code):
+    lk, t = tmp_path / "lk.json", tmp_path / "t.txt"
+    assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
+    assert main(["scan-test", str(lk), "--chi", "2", "--omega", "8",
+                 "--steps", str(steps), "-o", str(t)]) == code
+    assert t.exists() == (code == 0)
+    if code:
+        assert f"past the cap of {MAX_SCAN_STEPS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("chi, branch, steps, message", [

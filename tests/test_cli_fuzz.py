@@ -112,11 +112,8 @@ class Args:
 
 def _emit_package(a: Args):
     mode = a.choice("matrix", "fixed", "optimal")
-    # The optimal search is bounded only by its state cap until it gets a
-    # node budget, and shapes such as (1, 9) take tens of seconds under it.
-    hi = 2 if mode == "optimal" else 40
     return ["emit-package", a.file("host8.json"), "--mode", mode, *a.int("-m"),
-            *a.int("-n", hi), *a.int("-k", hi), *a.choice([], a.int("-z")),
+            *a.int("-n"), *a.int("-k"), *a.choice([], a.int("-z")),
             *a.choice([], a.int("--omega")), *a.int("--key-seed"), "--out-package", a.out("p"),
             "--out-secret", a.out("s"), "--out-key", a.out("k")]
 

@@ -216,6 +216,51 @@ def test_minimal_decomposition_golden_pairs():
     assert got == GOLDEN_PAIRS
 
 
+# The host8 shapes of at most 12 states that GOLDEN_PAIRS lacks, except
+# the stars (1, 10) and (1, 11), recorded before the search placed states
+# incrementally and paired candidates by ascending total; (1, 9) took
+# 40 s then.
+GOLDEN_PAIRS_LARGE = {
+    (1, 5): (((2,), (3, 4), (5, 6), (8,)), ((2, 3, 5), (4, 6), (8,))),
+    (1, 6): (((2, 3), (4, 5), (6, 7), (8,)), ((2, 4, 6), (3, 5, 7), (8,))),
+    (1, 7): (((0,), (2, 3), (4, 5), (6, 7), (8,)),
+             ((0, 2, 4, 6), (3, 5, 7), (8,))),
+    (1, 8): (((0, 1), (2, 3), (4, 5), (6, 7), (8,)),
+             ((0, 2, 4, 6), (1, 3, 5, 7), (8,))),
+    (1, 9): (((2, 3, 4), (5, 6, 7), (8, 9, 10), (16,)),
+             ((2, 5, 8), (3, 6, 9), (4, 7, 10), (16,))),
+    (2, 5): (((2, 3), (4, 5, 6), (8, 9), (10, 11, 12), (16,)),
+             ((2, 4, 8, 10), (3, 5, 9, 11), (6, 12), (16,))),
+    (7, 1): None,
+    (8, 1): None,
+    (9, 1): None,
+    (10, 1): None,
+    (11, 1): None,
+}
+
+
+def _host8_pair(n, k):
+    g = connectivity_graph(make_host8())
+    redux = lpr_k(g, LprkSpec(n=n, k=k, z=find_branch_width(n, k)))
+    try:
+        pair = minimal_decomposition(redux)
+    except NoNontrivialDecompositionError:
+        return None
+    return pair.pi_i.signature(), pair.pi_d.signature()
+
+
+def test_minimal_decomposition_golden_pairs_large():
+    assert {shape: _host8_pair(*shape) for shape in GOLDEN_PAIRS_LARGE} == GOLDEN_PAIRS_LARGE
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_minimal_decomposition_budget_refuses_dense_stars(k):
+    # (1, 10) has 115,975 SP partitions and its pair probes pass the
+    # budget; the enumeration of (1, 11) passes it before any probe.
+    with pytest.raises(CapExceededError, match="budget"):
+        _host8_pair(1, k)
+
+
 def test_enumerate_cap(rng):
     m = random_machine(rng, 13, 2)
     with pytest.raises(CapExceededError):
