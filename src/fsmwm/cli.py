@@ -120,8 +120,6 @@ def _build_parser():
     sp.add_argument("source")
     sp.add_argument("-n", "--rows", type=int, required=True)
     sp.add_argument("-k", "--branches", type=int, required=True)
-    sp.add_argument("-z", "--width", type=int, default=0,
-                    help="renumbering bit width; 0 picks the smallest collision-free")
     sp.add_argument("-o", "--out", default="-")
 
     sp = sub.add_parser("encrypt-matrix", help="conceal a linear reduction behind a key")
@@ -155,7 +153,6 @@ def _build_parser():
     sp.add_argument("-m", "--size", type=int, help="reduction length (matrix)")
     sp.add_argument("-n", "--rows", type=int)
     sp.add_argument("-k", "--branches", type=int)
-    sp.add_argument("-z", "--width", type=int, default=0)
     sp.add_argument("--key-seed", type=int, default=DEFAULT_KEY_SEED)
     sp.add_argument("--cap", type=int, default=12)
     sp.add_argument("--omega", type=int, help="state-field width override")
@@ -240,8 +237,8 @@ def _run(args) -> int:
         _write(args.out, out)
     elif args.cmd == "lprk":
         g = _load(args.source, graph=True)
-        z = args.width or find_branch_width(args.rows, args.branches)
-        m = lpr_k(g, LprkSpec(n=args.rows, k=args.branches, z=z))
+        n, k = args.rows, args.branches
+        m = lpr_k(g, LprkSpec(n=n, k=k, z=find_branch_width(n, k)))
         _write(args.out, format_fsm(m))
     elif args.cmd == "encrypt-matrix":
         g = parse_graph(_read(args.graph))
@@ -280,7 +277,7 @@ def _run(args) -> int:
                 raise FsmwmError("decomposition modes need --rows and --branches")
             package, secret = build_decomp_bundle(
                 host, args.rows, args.branches, mode=args.mode,
-                z=args.width or None, cap=args.cap, omega=args.omega)
+                cap=args.cap, omega=args.omega)
         _write(args.out_package, format_package(package))
         _write(args.out_secret, format_secret(secret))
     elif args.cmd == "verify":

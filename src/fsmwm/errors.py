@@ -29,7 +29,8 @@ class HaltError(FsmwmError):
 
 
 class HashCollisionError(FsmwmError):
-    """Two branch states hashed to the same id; widen z."""
+    """A branch-state width z narrower than find_branch_width(n, k), where
+    the n*k branch ids would wrap onto each other."""
 
 
 class PartitionError(FsmwmError):

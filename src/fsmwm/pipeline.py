@@ -59,8 +59,7 @@ def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
 
 
 def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
-                        z: int | None = None, cap: int = 12,
-                        omega: int | None = None):
+                        cap: int = 12, omega: int | None = None):
     """Conceal a k-branch reduction as a two-machine cascade.
 
     ``mode`` picks the decomposition: "fixed" uses the known column/row
@@ -71,9 +70,7 @@ def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
     if mode not in ("fixed", "optimal"):
         raise FsmwmError(f"unknown decomposition mode {mode!r}")
     g = connectivity_graph(host)
-    if z is None:
-        z = find_branch_width(n, k)
-    redux = lpr_k(g, LprkSpec(n=n, k=k, z=z))
+    redux = lpr_k(g, LprkSpec(n=n, k=k, z=find_branch_width(n, k)))
     if mode == "fixed":
         pair = fixed_partitions_lprk(redux, n, k)
     else:

@@ -135,8 +135,21 @@ def sized_path(p: Path, m: int) -> Path:
     return truncate(renumber(repeat_path(p, j), max(p.vertices)), m)
 
 
+# Most states lpr (m) and lpr_k (n*k) build; a larger request exits 3
+# instead of building the machine.
+MAX_REDUCTION_STATES = 1 << 16
+
+
+def _check_size(states: int):
+    if states > MAX_REDUCTION_STATES:
+        raise CapExceededError(
+            f"a reduction of {states} states passes the cap of {MAX_REDUCTION_STATES}")
+
+
 def lpr(g: ConnGraph, m: int) -> ConnGraph:
-    """Linear reduction: the sized longest simple path as a rooted chain."""
+    """Linear reduction: the sized longest simple path as a rooted chain.
+    Raises CapExceededError when m passes ``MAX_REDUCTION_STATES``."""
+    _check_size(m)
     path = sized_path(longest_simple_path(g), m)
     edges = frozenset(zip(path.vertices, path.vertices[1:]))
     return ConnGraph(
@@ -193,72 +206,58 @@ def branch_input_bits(k: int) -> int:
     return max(1, math.ceil(math.log2(k))) if k > 1 else 1
 
 
-def branch_state_id(x: int, row: int, branch: int, z: int) -> int:
-    """Renumbered id for the branch state with base value x at 1-based
-    ``row`` of 0-based ``branch``.
+def branch_state_id(rank: int, branch: int, n: int, z: int) -> int:
+    """Id of the state at sized-path rank ``rank`` (0..n-1) of 0-based
+    ``branch``: the add-shift hash with offset branch*n and no rotation,
+    which is branch*n + rank.
 
-    The rotation amount is the row position and the added offset is the
-    branch index; the opposite assignment admits no collision-free width
-    for most (n, k) shapes.  Callers pass the 1-based depth as x.
+    Each branch owns the id range [branch*n, branch*n + n), so the ids of
+    the n*k branch states are distinct whenever z >= find_branch_width(n, k).
     """
-    return add_shift_hash(x, r=branch, c=row, z=z)
+    return add_shift_hash(rank, r=branch * n, c=0, z=z)
+
+
+def find_branch_width(n: int, k: int) -> int:
+    """Bits that hold the branch-state ids 0..n*k-1."""
+    return max(1, (n * k - 1).bit_length())
 
 
 def lpr_k(g: ConnGraph, shape: LprkSpec) -> Fsm:
-    """Join k renumbered copies of the length-n reduction at a fresh
-    start state.
+    """Join k renumbered copies of the host's length-n sized path at a
+    fresh start state ``1 << z``.
 
-    The start state takes a branch-select input of chi bits (value v
-    selects branch v mod k); within a branch the tick input "0" advances,
-    and the branch tail ticks in place.  Outputs follow the standard
-    convention: each transition emits its source state.
+    Row t of branch b is ``branch_state_id(rank_t, b, n, z)``, where rank_t
+    is the rank of the t-th sized-path vertex among the path's n vertices,
+    so every branch visits its ids in the order of the host's path.  The
+    start state takes a branch-select input of chi bits (value v selects
+    branch v mod k); within a branch the tick input "0" advances, and the
+    branch tail ticks in place.  Outputs follow the standard convention:
+    each transition emits its source state.
+
+    Raises CapExceededError when n*k passes ``MAX_REDUCTION_STATES`` and
+    HashCollisionError when z is narrower than ``find_branch_width(n, k)``.
     """
-    base = sized_path(longest_simple_path(g), shape.n).vertices
-    assert len(base) == shape.n
-    if shape.n >= (1 << shape.z):
-        raise FsmwmError(f"z={shape.z} too narrow for {shape.n} rows")
-    # Rows are renumbered by their 1-based depth, not the raw path values:
-    # depth-based renumbering admits a narrow collision-free width for
-    # every shape, value-based renumbering does not.
-    columns = []
-    for b in range(shape.k):
-        columns.append(
-            [branch_state_id(row, row, b, shape.z) for row in range(1, shape.n + 1)]
-        )
-    flat = [s for col in columns for s in col]
-    if len(set(flat)) != len(flat):
-        dupes = sorted({s for s in flat if flat.count(s) > 1})
+    n, k, z = shape.n, shape.k, shape.z
+    _check_size(n * k)
+    if z < find_branch_width(n, k):
         raise HashCollisionError(
-            f"branch states collide at ids {dupes} with z={shape.z}; widen z"
-        )
-    start = 1 << shape.z
-    chi = branch_input_bits(shape.k)
-    inputs = tuple(str(v) for v in range(1 << chi))
-    states = frozenset([start] + flat)
-    transitions = {(start, str(v)): (columns[v % shape.k][0], str(start))
+            f"z={z} too narrow for {n * k} branch states; "
+            f"they need {find_branch_width(n, k)} bits")
+    base = sized_path(longest_simple_path(g), n).vertices
+    rank = {v: i for i, v in enumerate(sorted(base))}
+    columns = [[branch_state_id(rank[v], b, n, z) for v in base] for b in range(k)]
+    start = 1 << z
+    chi = branch_input_bits(k)
+    states = frozenset([start] + [s for col in columns for s in col])
+    transitions = {(start, str(v)): (columns[v % k][0], str(start))
                    for v in range(1 << chi)}
     for col in columns:
         for row, src in enumerate(col):
-            transitions[src, "0"] = (col[min(row + 1, shape.n - 1)], str(src))
+            transitions[src, "0"] = (col[min(row + 1, n - 1)], str(src))
     return Fsm(
         states=states,
-        inputs=inputs,
+        inputs=tuple(str(v) for v in range(1 << chi)),
         outputs=tuple(str(s) for s in sorted(states)),
         reset=start,
         transitions=transitions,
     )
-
-
-def find_branch_width(n: int, k: int, z_max: int = 24) -> int:
-    """Smallest z for which the branch renumbering is collision-free."""
-    z = max(1, n.bit_length())
-    while z <= z_max:
-        ids = [
-            branch_state_id(row, row, b, z)
-            for b in range(k)
-            for row in range(1, n + 1)
-        ]
-        if len(set(ids)) == len(ids):
-            return z
-        z += 1
-    raise HashCollisionError(f"no collision-free width <= {z_max} for n={n}, k={k}")

@@ -129,6 +129,36 @@ def test_lpr_path_search_budget_exits_3(tmp_path, capsys):
     assert err.startswith("error:") and "budget of 1048576 steps" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lpr", "{graph}", "-m", "65537"],
+    ["lprk", "{graph}", "-n", "65537", "-k", "1"],
+    ["lprk", "{graph}", "-n", "10000000", "-k", "3"],
+    ["emit-package", "{host}", "--mode", "fixed", "-n", "256", "-k", "257"],
+], ids=["lpr", "lprk", "lprk-huge", "emit-package"])
+def test_reduction_size_cap_exits_3(host_file, tmp_path, capsys, argv):
+    # The cap is checked before the path search, which would pass its
+    # budget on this graph.
+    graph = tmp_path / "clique9.json"
+    graph.write_text(format_graph(clique_with_leaves(9)))
+    t0 = time.perf_counter()
+    assert main([a.format(graph=graph, host=host_file) for a in argv]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "passes the cap of 65536" in err
+
+
+def test_width_is_not_an_option(host_file, tmp_path, monkeypatch, capsys):
+    # Every shape has a width now, (2, 7) among them, so -z is gone.
+    monkeypatch.chdir(tmp_path)
+    for command in (["lprk"], ["emit-package", "--mode", "fixed"]):
+        with pytest.raises(SystemExit) as e:
+            main(command + [host_file, "-n", "4", "-k", "3", "-z", "5"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: -z 5" in capsys.readouterr().err
+    assert main(["lprk", host_file, "-n", "2", "-k", "7", "-o", "lk.json"]) == 0
+    assert len(parse_fsm((tmp_path / "lk.json").read_text()).states) == 15
+
+
 def test_emit_package_deterministic(host_file, tmp_path):
     outs = []
     for i in (1, 2):
@@ -318,8 +348,8 @@ def test_config_defaults_do_not_outlive_the_call(host_file, tmp_path,
      "--setting: invalid int value: '1.5'"),
     ({"branch": 1.5}, ["scan-test", "{lk}", "--chi", "2", "--omega", "8", "--steps", "2"],
      "--branch: invalid int value: '1.5'"),
-    ({"width": 2.5}, ["lprk", "{host}", "-n", "4", "-k", "3"],
-     "--width: invalid int value: '2.5'"),
+    ({"omega": 2.5}, ["emit-package", "{host}", "--mode", "fixed", "-n", "4", "-k", "3"],
+     "--omega: invalid int value: '2.5'"),
     ({"cap": None}, ["emit-package", "{host}", "--mode", "optimal", "-n", "2", "-k", "2"],
      "--cap: invalid int value: 'None'"),
     ({"mode": "weird"}, ["decompose", "{lk22}", "-n", "2", "-k", "2"],
@@ -483,7 +513,7 @@ def test_malformed_graph_exits_3(tmp_path, capsys):
 def test_scan_test_rejects_narrow_omega(host_file, tmp_path, capsys):
     lk = tmp_path / "lk.json"
     assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
-    assert max(json.loads(lk.read_text())["states"]) == 128
+    assert max(json.loads(lk.read_text())["states"]) == 16
     assert main(["scan-test", str(lk), "--chi", "2", "--omega", "3",
                  "--steps", "4"]) == 3
     assert "omega 3 too narrow" in capsys.readouterr().err

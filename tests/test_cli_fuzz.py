@@ -113,8 +113,8 @@ class Args:
 def _emit_package(a: Args):
     mode = a.choice("matrix", "fixed", "optimal")
     return ["emit-package", a.file("host8.json"), "--mode", mode, *a.int("-m"),
-            *a.int("-n"), *a.int("-k"), *a.choice([], a.int("-z")),
-            *a.choice([], a.int("--omega")), *a.int("--key-seed"), "--out-package", a.out("p"),
+            *a.int("-n"), *a.int("-k"), *a.choice([], a.int("--omega")),
+            *a.int("--key-seed"), "--out-package", a.out("p"),
             "--out-secret", a.out("s"), "--out-key", a.out("k")]
 
 
@@ -124,7 +124,7 @@ COMMANDS = {
     "lpr": lambda a: ["lpr", a.file("host8.json", "red.json"), *a.int("-m"),
                       *a.choice([], ["--as-machine"]), "-o", a.out("g")],
     "lprk": lambda a: ["lprk", a.file("host8.json", "red.json"), *a.int("-n"),
-                       *a.int("-k"), *a.choice([], a.int("-z")), "-o", a.out("m")],
+                       *a.int("-k"), "-o", a.out("m")],
     "encrypt-matrix": lambda a: [
         "encrypt-matrix", a.file("red.json"),
         *a.choice(["--key", a.file("key.txt")], a.int("--seed")),

@@ -169,32 +169,31 @@ def test_minimal_decomposition_matches_oracle(rng):
     assert decomposable >= 12
 
 
-# (n, k) -> (pi_i, pi_d) signatures that minimal_decomposition returned for
-# every host8 reduction within the default cap, recorded before partitions
-# became block-assignment arrays; None where it raised
-# NoNontrivialDecompositionError.
+# (n, k) -> (pi_i, pi_d) signatures of the least nontrivial orthogonal SP
+# pair of every host8 reduction within the default cap, None where there
+# is none.  Derived with the brute-force oracle above when the reduction's
+# states were first numbered from the host's sized path; each pair has the
+# total block count recorded for the earlier numbering.
 GOLDEN_PAIRS = {
     (1, 1): None,
     (1, 2): None,
-    (1, 3): (((0,), (2, 3), (4,)), ((0, 2), (3,), (4,))),
+    (1, 3): (((0,), (1, 2), (4,)), ((0, 1), (2,), (4,))),
     (1, 4): (((0, 1), (2, 3), (4,)), ((0, 2), (1, 3), (4,))),
     (2, 1): None,
-    (2, 2): (((2, 3), (8, 9), (16,)), ((2, 8), (3, 9), (16,))),
-    (2, 3): (((2, 3, 4), (8, 9, 10), (16,)),
-             ((2, 8), (3, 9), (4, 10), (16,))),
-    (2, 4): (((2, 3), (4, 5), (8, 9), (10, 11), (16,)),
-             ((2, 4, 8, 10), (3, 5, 9, 11), (16,))),
+    (2, 2): (((0, 1), (2, 3), (4,)), ((0, 2), (1, 3), (4,))),
+    (2, 3): (((0, 1), (2, 3), (4, 5), (8,)), ((0, 2, 4), (1, 3, 5), (8,))),
+    (2, 4): (((0, 1), (2, 3), (4, 5), (6, 7), (8,)),
+             ((0, 2, 4, 6), (1, 3, 5, 7), (8,))),
     (3, 1): None,
-    (3, 2): (((2, 3), (8, 9), (24, 25), (32,)),
-             ((2, 8, 24), (3, 9, 25), (32,))),
-    (3, 3): (((2, 3, 4), (8, 9, 10), (24, 25, 26), (32,)),
-             ((2, 8, 24), (3, 9, 25), (4, 10, 26), (32,))),
+    (3, 2): (((0, 1, 2), (3, 4, 5), (8,)), ((0, 3), (1, 4), (2, 5), (8,))),
+    (3, 3): (((0, 1, 2), (3, 4, 5), (6, 7, 8), (16,)),
+             ((0, 3, 6), (1, 4, 7), (2, 5, 8), (16,))),
     (4, 1): None,
-    (4, 2): (((2, 3), (8, 9), (24, 25), (64, 65), (128,)),
-             ((2, 8, 24, 64), (3, 9, 25, 65), (128,))),
+    (4, 2): (((0, 1, 2, 3), (4, 5, 6, 7), (8,)),
+             ((0, 4), (1, 5), (2, 6), (3, 7), (8,))),
     (5, 1): None,
-    (5, 2): (((2, 3), (8, 9), (24, 25), (33, 34), (64, 65), (128,)),
-             ((2, 8, 24, 33, 64), (3, 9, 25, 34, 65), (128,))),
+    (5, 2): (((0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (16,)),
+             ((0, 5), (1, 6), (2, 7), (3, 8), (4, 9), (16,))),
     (6, 1): None,
 }
 
@@ -217,20 +216,20 @@ def test_minimal_decomposition_golden_pairs():
 
 
 # The host8 shapes of at most 12 states that GOLDEN_PAIRS lacks, except
-# the stars (1, 10) and (1, 11), recorded before the search placed states
-# incrementally and paired candidates by ascending total; (1, 9) took
-# 40 s then.
+# the stars (1, 10) and (1, 11), derived like GOLDEN_PAIRS; (1, 9) took
+# 40 s in the search before it placed states incrementally and paired
+# candidates by ascending total.
 GOLDEN_PAIRS_LARGE = {
-    (1, 5): (((2,), (3, 4), (5, 6), (8,)), ((2, 3, 5), (4, 6), (8,))),
-    (1, 6): (((2, 3), (4, 5), (6, 7), (8,)), ((2, 4, 6), (3, 5, 7), (8,))),
-    (1, 7): (((0,), (2, 3), (4, 5), (6, 7), (8,)),
-             ((0, 2, 4, 6), (3, 5, 7), (8,))),
+    (1, 5): (((0,), (1, 2), (3, 4), (8,)), ((0, 1, 3), (2, 4), (8,))),
+    (1, 6): (((0, 1), (2, 3), (4, 5), (8,)), ((0, 2, 4), (1, 3, 5), (8,))),
+    (1, 7): (((0,), (1, 2), (3, 4), (5, 6), (8,)),
+             ((0, 1, 3, 5), (2, 4, 6), (8,))),
     (1, 8): (((0, 1), (2, 3), (4, 5), (6, 7), (8,)),
              ((0, 2, 4, 6), (1, 3, 5, 7), (8,))),
-    (1, 9): (((2, 3, 4), (5, 6, 7), (8, 9, 10), (16,)),
-             ((2, 5, 8), (3, 6, 9), (4, 7, 10), (16,))),
-    (2, 5): (((2, 3), (4, 5, 6), (8, 9), (10, 11, 12), (16,)),
-             ((2, 4, 8, 10), (3, 5, 9, 11), (6, 12), (16,))),
+    (1, 9): (((0, 1, 2), (3, 4, 5), (6, 7, 8), (16,)),
+             ((0, 3, 6), (1, 4, 7), (2, 5, 8), (16,))),
+    (2, 5): (((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (16,)),
+             ((0, 2, 4, 6, 8), (1, 3, 5, 7, 9), (16,))),
     (7, 1): None,
     (8, 1): None,
     (9, 1): None,

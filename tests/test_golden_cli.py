@@ -1,7 +1,11 @@
 """Byte-identity guard for the command line: the README command sequence
 on the shipped sample host, plus one-shot matrix and optimal bundles.
 Every file written and every command's stdout must hash to the digests
-recorded before the interchange and graph layers were refactored."""
+recorded before the interchange and graph layers were refactored; those
+of the k-branch reduction and everything made from it (lk.json, the
+fixed and optimal bundles, decompose, verify, attack and the serial
+transcript) were re-recorded when its states were first numbered from
+the host's sized path."""
 
 import hashlib
 from pathlib import Path
@@ -51,11 +55,11 @@ GOLDEN = {
     "07-emit-package.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "08-verify.stdout":
-        "15e04a171060b52ea83b45e3497143265376b03163a8a6de711703c1bc510956",
+        "02629eb42dc480f5218181e924ae86ef2d937a1a0ecad2bcf62b5168944a2d09",
     "09-scan-test.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "10-decode-scan.stdout":
-        "dea3c27af09529615d0f79abd01733c6060dfdb5c7aa499df9cc4ee76f3db391",
+        "cf071d43a0d90569bf4dada61a76b41194efefb1f1b6febfdc10332326e73269",
     "11-attack.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "12-emit-package.stdout":
@@ -63,7 +67,7 @@ GOLDEN = {
     "13-emit-package.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "back.json":
-        "05b809d6a1480b100e93c660689b201dfe34b74f869a4b37787764cead41a237",
+        "7e3a1ef9cc9a105bb0ed3908072ec76f3c0c6c0e59a487aede5c55f047647679",
     "cg.json":
         "87ffa483ac4375f89f5f1a7a45410659c5b552b24d4b5c2aaaf67211d226a542",
     "dec.json":
@@ -73,29 +77,29 @@ GOLDEN = {
     "key.txt":
         "a5efd18d69cc7abfbab7014fb704318b5e672366226f1c666293c1b13df87bc3",
     "lk.json":
-        "0a7bb2e670fd1341af99c251af21f3d3a484fe23efd8bf14b38ec5a2b06677c1",
+        "719b04c38c1a2a021ffea11eab28993dd9fa8071dba72d4e333fa381e7a19617",
     "mpackage.json":
         "b381b9d912b999f72d34c0b3a308eb3144395753365bdda5b94f738d9a12e6a6",
     "msecret.json":
         "445fabc6f1899cde91ce8270557a17cbc525899d398b7915db2771657191539f",
     "opackage.json":
-        "2adfe5a9bbea8b77cbeb0b305c8d892b001b5b34c6da60da83c4f4280b5a2eb8",
+        "307986be36da1972d4646dcddabaced1bb150887d5d0aa2b3c11d2fb912db1de",
     "osecret.json":
-        "f920249f5dc5b0b83a18ebffb76022a934f9534306b7fd777fe7cab0d3bf8a87",
+        "d2e5b3939d7aa7bec583d7f9c01a644ead3025c36fb026e21d272eb0ebbdac56",
     "package.json":
-        "b122db9d48bebd113e4a93156023b28fa83cb50ab5d1f4bd6019b9924e2b4e40",
+        "e51c1ce10fefbf267b6615d65184655df9a6d6f624b776d29fc56f1fe2894e75",
     "pi_d.txt":
-        "3d31884628d2a8b02122c3539982eba11f66a470f669abe73fbc6f2d0183d14e",
+        "b120e9bd9ce5dc734254de917dd39599690f16a7ffc7a0cf5075eb226e0acf43",
     "pi_i.txt":
-        "a290c39358b1f930e3522fc1dcd5c3ec07258d18c1818fd27804f4b7ee9cb078",
+        "51e0992701a2e7a0cb1c399f75eb8aeee38f691feb6d80d02de01b347cfe7c4a",
     "rebuilt.json":
-        "9be1abde220c8179be108bee8e3c134d65a7f3b908c46612df521eeab16a9d0d",
+        "00d1ec553c6da7628307b4d47501b681dd36cc22986f815b29371df841724d1e",
     "red.json":
         "8646c31f5c415cbe24fcedbdce61110c5c0730f5c6f46e02a13a78c5cba5d7e8",
     "secret.json":
-        "eaf01b04dfdf4b23e74847e5f217056fde772c6aec2a66effe1c65021605c218",
+        "d761a3de403f1a7de556c9f9bfec4b9c44df16b7eaa380e4e8d0abe292e91530",
     "t.txt":
-        "a6fb8e9ddd7fcf56c729ab7be0b9a39d63d3057dffddd68d0fee199465eec175",
+        "c7c3439a178d393e71791833a9d9b208ed3f879381e3e266a5d6b2bf7712ccd4",
     "wm.json":
         "f4417a4ffbb6a26a91577881d7759fb3275f40865d246dbd7d11704eec8079bf",
 }

@@ -157,9 +157,11 @@ def test_cascade_alphabet_mismatch():
 # sha256 of format_fsm(compose_cascade(package.watermark, secret.decoder))
 # for three host8 bundles, recorded before the cascade moved onto the
 # shared breadth-first walk: product states must keep their numbering.
+# The two cascade digests were re-recorded when the k-branch reduction's
+# states were first numbered from the host's sized path.
 CASCADE_GOLDEN = {
-    "fixed-4-3": "8f6dda3e13de227c1f76ac94e6088ca95381c75d01d66092efd42b2c1d961c4a",
-    "optimal-2-2": "9c25853397d35b66be1617b5bd44b07dcab85a1bb74bc3b4dbf75d0ecda0951e",
+    "fixed-4-3": "db797e0e221678f3e3ae4d82bf9b4a860dd0819dd7ce58b1a20ef46bd5799ff8",
+    "optimal-2-2": "72d8d4843873d034fb0080c234e19dd028d7c6c5d70d0aee9e4b8ea69bd4a162",
     "matrix-6": "dec9d0effb9a305dc088102d190585b03ebdb64fd86405b3aad77fc727607c79",
 }
 

@@ -13,9 +13,9 @@ from fsmwm import (
     Path,
     add_shift_hash,
     branch_input_bits,
-    branch_state_id,
     connectivity_graph,
     find_branch_width,
+    format_fsm,
     longest_simple_path,
     lpr,
     lpr_k,
@@ -199,6 +199,12 @@ def test_branch_input_bits():
     assert branch_input_bits(5) == 3
 
 
+def _ranks(g, n):
+    """Rank of each sized-path vertex among the path's n vertices."""
+    base = sized_path(longest_simple_path(g), n).vertices
+    return [sorted(base).index(v) for v in base]
+
+
 def test_lprk_shape_and_walk(host8):
     g = connectivity_graph(host8)
     n, k = 4, 3
@@ -206,12 +212,12 @@ def test_lprk_shape_and_walk(host8):
     m = lpr_k(g, LprkSpec(n=n, k=k, z=z))
     assert len(m.states) == n * k + 1
     assert m.reset == 1 << z
+    assert _ranks(g, n) == [0, 2, 3, 1]
     for v in range(1 << branch_input_bits(k)):
         schedule = [str(v)] + ["0"] * (n - 1)
         states = run_states(m, schedule)
         assert len(states) == n + 1
-        expected = [branch_state_id(row, row, v % k, z) for row in range(1, n + 1)]
-        assert states[1:] == expected
+        assert states[1:] == [(v % k) * n + r for r in _ranks(g, n)]
         outs, _ = run(m, schedule)
         assert outs == [str(s) for s in states[:-1]]
 
@@ -223,31 +229,49 @@ def test_lprk_tail_ticks_in_place(host8):
     assert states[3] == states[4] == states[5]
 
 
-def test_lprk_collision_raises(host8):
+def test_lprk_every_small_shape_builds(host8):
+    # every branch id fits under the start state 1 << z
     g = connectivity_graph(host8)
-    # two branches collide when the width leaves no room for the offset
-    found = False
-    for n in range(2, 6):
-        for k in range(2, 5):
-            z = max(1, n.bit_length())
-            ids = [
-                branch_state_id(row, row, b, z)
-                for b in range(k) for row in range(1, n + 1)
-            ]
-            if len(set(ids)) != len(ids):
-                with pytest.raises(HashCollisionError):
-                    lpr_k(g, LprkSpec(n=n, k=k, z=z))
-                found = True
-    assert found, "expected at least one colliding shape in the sweep"
-
-
-def test_find_branch_width_is_collision_free():
-    for n in range(1, 9):
-        for k in range(1, 6):
+    for n in range(1, 41):
+        for k in range(1, 41):
             z = find_branch_width(n, k)
-            ids = [
-                branch_state_id(row, row, b, z)
-                for b in range(k) for row in range(1, n + 1)
-            ]
-            assert len(set(ids)) == len(ids)
-            assert z <= 24
+            m = lpr_k(g, LprkSpec(n=n, k=k, z=z))
+            assert len(m.states) == n * k + 1
+            assert m.reset == 1 << z
+            assert max(m.states - {m.reset}) < 1 << z
+
+
+def test_lprk_branch_zero_follows_the_sized_path(rng):
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8))
+        n, k = rng.randint(1, 20), rng.randint(1, 4)
+        m = lpr_k(g, LprkSpec(n=n, k=k, z=find_branch_width(n, k)))
+        states = run_states(m, ["0"] * n)
+        assert states[1:] == _ranks(g, n)
+
+
+def _hamiltonian(order):
+    """The cycle through ``order``, rooted at its first vertex."""
+    from fsmwm import ConnGraph
+    edges = zip(order, order[1:] + order[:1])
+    return ConnGraph(frozenset(order), frozenset(edges), order[0])
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (4, 3), (6, 2)])
+def test_lprk_follows_the_host(host8, n, k):
+    # host8's sized path runs 1, 4, 7, 2, 5, 8, ...; this one 1, 3, 2, 4, ...
+    hosts = [connectivity_graph(host8), _hamiltonian([0, 2, 1] + list(range(3, 20)))]
+    assert _ranks(hosts[0], n) != _ranks(hosts[1], n)
+    spec = LprkSpec(n=n, k=k, z=find_branch_width(n, k))
+    texts = [format_fsm(lpr_k(g, spec)) for g in hosts + hosts]
+    assert texts[0] != texts[1]
+    assert texts[:2] == texts[2:]
+
+
+def test_lprk_narrow_width_raises(host8):
+    g = connectivity_graph(host8)
+    for n, k in [(2, 2), (4, 3), (2, 7), (5, 5)]:
+        z = find_branch_width(n, k)
+        assert 1 << (z - 1) <= n * k - 1 < 1 << z
+        with pytest.raises(HashCollisionError, match="too narrow"):
+            lpr_k(g, LprkSpec(n=n, k=k, z=z - 1))
