@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification verdict, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -43,12 +44,7 @@ from .decompose import (
 )
 from .pipeline import build_decomp_bundle, build_matrix_bundle
 from .reduction import LprkSpec, find_branch_width, lpr, lpr_k
-from .scanchain import (
-    decode_transcript,
-    format_transcript,
-    parse_transcript,
-    scan_watermark_test,
-)
+from .scanchain import decode_transcript, scan_watermark_test
 from .verify import (
     FsmOracle,
     format_package,
@@ -63,19 +59,19 @@ DEFAULT_KEY_SEED = 2718
 DEFAULT_SETTING_SEED = 31415
 
 
+def _open(path: str, mode: str = "r"):
+    std = contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    return std if path == "-" else open(path, mode, encoding="utf-8")
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
+    with _open(path) as f:
         return f.read()
 
 
-def _write(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+def _write(path: str, text):
+    with _open(path, "w") as f:
+        f.writelines([text] if isinstance(text, str) else text)
 
 
 def _load(path: str, graph: bool = False):
@@ -202,7 +198,8 @@ def _parse_args(argv):
     """Parse on the shared parser.  With ``--config``, each file entry that
     names an optional flag of the chosen subcommand becomes that flag, right
     after the subcommand name, and the same parser parses again: the entry
-    is checked like the flag, and an explicit flag, later in argv, wins."""
+    is checked like the flag, and an explicit flag, later in argv, wins.
+    An entry that names no flag of any subcommand is a usage error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subcommands = _parser()
     args = parser.parse_args(argv)
@@ -211,6 +208,9 @@ def _parse_args(argv):
     config = json.loads(_read(args.config))
     if not isinstance(config, dict):
         raise FsmwmError("config file must hold a JSON object")
+    known = {a.dest for sp in subcommands.values() for a in sp._actions if a.option_strings}
+    for key in sorted(config.keys() - known):
+        parser.error(f"--config entry {key!r} names no flag of any subcommand")
     flags = []
     for a in subcommands[args.cmd]._actions:
         if a.option_strings and not a.required and a.dest in config:
@@ -290,10 +290,11 @@ def _run(args) -> int:
         m = _load(args.machine)
         t = scan_watermark_test(m, args.chi, args.omega, args.branch,
                                 args.seed, args.steps, setting=args.setting)
-        _write(args.out, format_transcript(t))
+        _write(args.out, t)
     elif args.cmd == "decode-scan":
-        t = parse_transcript(_read(args.transcript))
-        setting, payload = decode_transcript(t)
+        with _open(args.transcript) as f:       # whole lines, about 64 kB at a time
+            lines = map("".join, iter(lambda: f.readlines(1 << 16), []))
+            setting, payload = decode_transcript(lines)
         print(f"setting {setting}")
         for state, value in payload:
             print(f"{state} {value}")

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .errors import CapExceededError, FsmwmError
 from .machine import Fsm
@@ -17,9 +17,8 @@ LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
 # Widest scan register, chi + omega bits: a setting of 1024! has 2,640
 # digits, under Python's 4,300-digit limit for printing an integer.
 MAX_REGISTER_BITS = 1024
-# Most steps one scan test drives: the transcript holds a record per
-# clock cycle, chi + omega + 2 of them a step, and a scan test of a
-# 10-bit register at the cap peaks near 62 MB.
+# Most steps one scan test drives.  Transcripts are written a frame at a time,
+# so the cap bounds the file (chi + omega + 2 lines a step), not the memory.
 MAX_SCAN_STEPS = 1 << 14
 _NEXT = {LATCH: SHIFT, SHIFT: ASSERT, ASSERT: LATCH}
 _BIT = {"0": 0, "1": 1}
@@ -91,48 +90,68 @@ def bits_to_int(bits) -> int:
 
 @dataclass
 class Transcript:
-    """Append-only per-cycle record of the serial interface."""
+    """A session's serial log: the header and, per window of cycles, a line
+    template (a ``%d`` per cycle index) and cycle count; iterates as text."""
 
     n_b: int
     chi: int
     omega: int
     seed: int
-    records: list[tuple[int, int, int, int, str]] = field(default_factory=list)
+    windows: list[tuple[str, int]] = field(default_factory=list)
+
+    def __iter__(self):
+        yield f"{self.n_b} {self.chi} {self.omega} {self.seed}\n"
+        i = 0
+        for template, k in self.windows:
+            yield template % tuple(range(i, i + k))
+            i += k
+
+    @property
+    def records(self) -> list[tuple[int, int, int, int, str]]:
+        rows = map(str.split, "".join(self).splitlines()[1:])
+        return [(int(i), int(tms), int(tdi), int(tdo), st) for i, tms, tdi, tdo, st in rows]
 
 
 def format_transcript(t: Transcript) -> str:
-    lines = [f"{t.n_b} {t.chi} {t.omega} {t.seed}"]
-    lines += [f"{i} {tms} {tdi} {tdo} {st}" for i, tms, tdi, tdo, st in t.records]
-    return "\n".join(lines) + "\n"
+    return "".join(t)
 
 
-def parse_transcript(text: str) -> Transcript:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def _read_transcript(text) -> tuple[Transcript, list[int]]:
+    """Check a transcript's lines one by one: its header and Shift TDO bits."""
+    rows = filter(None, map(str.split, chain.from_iterable(map(str.splitlines, text))))
+    if (header := next(rows, None)) is None:
         raise FsmwmError("empty transcript")
     try:
-        n_b, chi, omega, seed = (int(x) for x in lines[0].split())
+        n_b, chi, omega, seed = map(int, header)
     except ValueError as e:
-        raise FsmwmError(f"malformed transcript header {lines[0]!r}") from e
+        raise FsmwmError(f"malformed transcript header {' '.join(header)!r}") from e
     if chi < 0 or omega < 0 or n_b != chi + omega or n_b < 1:
-        raise FsmwmError(f"transcript header {lines[0]!r} needs "
+        raise FsmwmError(f"transcript header {' '.join(header)!r} needs "
                          "chi, omega >= 0 and n_b = chi + omega >= 1")
     if n_b > MAX_REGISTER_BITS:
         raise CapExceededError(f"transcript register of {n_b} bits is past "
                                f"the {MAX_REGISTER_BITS}-bit cap")
-    t = Transcript(n_b, chi, omega, seed)
-    for expect, ln in enumerate(lines[1:]):
+    shift_bits = []
+    for expect, row in enumerate(rows):
         try:
-            idx, tms, tdi, tdo, st = ln.split()
-            record = (int(idx), _BIT[tms], _BIT[tdi], _BIT[tdo], st)
+            idx, tms, tdi, tdo, st = row
+            idx, _, _, tdo = int(idx), _BIT[tms], _BIT[tdi], _BIT[tdo]   # bits or KeyError
         except (KeyError, ValueError) as e:
-            raise FsmwmError(f"malformed transcript record {ln!r}") from e
+            raise FsmwmError(f"malformed transcript record {' '.join(row)!r}") from e
         if st not in _NEXT:
-            raise FsmwmError(f"unknown TAP state in transcript record {ln!r}")
-        if record[0] != expect:
+            raise FsmwmError(f"unknown TAP state in transcript record {' '.join(row)!r}")
+        if idx != expect:
             raise FsmwmError("cycle indices must be consecutive from 0")
-        t.records.append(record)
-    return t
+        if st == SHIFT:
+            shift_bits.append(tdo)
+    return Transcript(n_b, chi, omega, seed), shift_bits
+
+
+def parse_transcript(text: str) -> Transcript:
+    """A transcript's text, its records checked as ``decode_transcript`` does."""
+    t, _ = _read_transcript([text])
+    rows = [" ".join(ln.split()[1:]) for ln in text.splitlines() if ln.strip()][1:]
+    return replace(t, windows=[("".join(f"%d {r}\n" for r in rows), len(rows))])
 
 
 class TapSession:
@@ -168,21 +187,21 @@ class TapSession:
         self.mstate = machine.reset
         self.last_input_bits = [0] * chi
         self.transcript = Transcript(self.n_b, chi, omega, seed)
-        self.chain = deque(int_to_bits(self.setting - 1, setting_bit_width(self.n_b)))
+        self.chain = int_to_bits(self.setting - 1, setting_bit_width(self.n_b))
         self._latch()
 
     def _latch(self):
         frame = int_to_bits(self.mstate, self.omega) + self.last_input_bits
-        self.chain.extend(apply_perm(frame, self.perm))
+        self.chain += apply_perm(frame, self.perm)
 
     def _assert(self):
-        frame = invert_perm(list(self.chain)[-self.n_b:], self.perm)
+        frame = invert_perm(self.chain[-self.n_b:], self.perm)
         self.last_input_bits = frame[self.omega:]
         move = self.machine.transitions.get(
             (self.mstate, str(bits_to_int(self.last_input_bits))))
         if move is not None:        # undefined input: the machine stays frozen
             self.mstate = move[0]
-        self.chain.clear()
+        self.chain = []
 
     def _clock(self, tms: int, tdis: list[int]) -> list[int]:
         """``tap_step`` once per bit of ``tdis``, the first cycle with
@@ -194,16 +213,15 @@ class TapSession:
                 self._assert()
             elif self.tap_state == LATCH:
                 self._latch()
-        chain, k = self.chain, len(tdis)
-        if self.tap_state == SHIFT and chain:
-            chain.extend(tdis)
-            tdos = [chain.popleft() for _ in tdis]
+        k = len(tdis)
+        if self.tap_state == SHIFT and self.chain:
+            bits = self.chain + tdis
+            tdos, self.chain = bits[:k], bits[k:]
         else:
             tdos = [0] * k
-        records = self.transcript.records
-        start = len(records)
-        records.extend(zip(range(start, start + k), [tms] + [0] * (k - 1),
-                           tdis, tdos, [self.tap_state] * k))
+        tail = f" {self.tap_state}\n"         # lines with a %d slot for the cycle index
+        self.transcript.windows.append((f"%d {tms} " + (tail + "%d 0 ").join(
+            map("%d %d".__mod__, zip(tdis, tdos))) + tail, k))
         return tdos
 
     def tap_step(self, tms: int, tdi: int) -> int:
@@ -216,24 +234,35 @@ class TapSession:
 
 def drive_frames(session: TapSession, input_values: list[int]) -> Transcript:
     """Run one frame per input value: enter Shift, stream the register
-    out while feeding the permuted next frame in, then assert and latch."""
-    preamble = [0] * setting_bit_width(session.n_b)
-    pad = [0] * session.omega
+    out while feeding the permuted next frame in, then assert and latch.
+    From Latch, a frame after the first depends only on its value and the
+    latched frame, so each distinct one is clocked once and then reused."""
+    s, frames = session, {}
+    preamble, windows = [0] * setting_bit_width(s.n_b), s.transcript.windows
     for f, value in enumerate(input_values):
-        feed = apply_perm(pad + int_to_bits(value, session.chi), session.perm)
-        session._clock(1, preamble + feed if f == 0 else feed)   # one Shift window
-        session._clock(1, [0])                # enter Assert
-        session._clock(1, [0])                # enter Latch
-    return session.transcript
+        key = (value, s.mstate, *s.last_input_bits) if f and s.tap_state == LATCH else None
+        if key not in frames:
+            feed = apply_perm([0] * s.omega + int_to_bits(value, s.chi), s.perm)
+            s._clock(1, preamble + feed if f == 0 else feed)   # one Shift window
+            s._clock(1, [0])                # enter Assert
+            s._clock(1, [0])                # enter Latch
+            if key is None:
+                continue
+            frames[key] = ("".join(t for t, _ in windows[-3:]), s.mstate,
+                           s.last_input_bits, s.chain)
+            del windows[-3:]
+        template, s.mstate, s.last_input_bits, s.chain = frames[key]
+        windows.append((template, s.n_b + 2))    # the frame's lines as one template
+    return s.transcript
 
 
-def decode_transcript(t: Transcript):
+def decode_transcript(transcript):
     """Recover the setting and the (state, input-field) payload stream
-    from the serial log.  Requires knowledge of the permutation scheme;
-    the setting itself is read from the unpermuted preamble, and one
-    outside 1..n_b! is refused."""
+    from the serial log: a Transcript, or its lines (an open file will do).
+    Requires knowledge of the permutation scheme; the setting itself is read
+    from the unpermuted preamble, and one outside 1..n_b! is refused."""
+    t, shift_bits = _read_transcript(transcript)
     p = setting_bit_width(t.n_b)
-    shift_bits = [tdo for _, _, _, tdo, st in t.records if st == SHIFT]
     if len(shift_bits) < p:
         raise FsmwmError("transcript shorter than the setting preamble")
     decoded_setting = bits_to_int(shift_bits[:p]) + 1

@@ -2,11 +2,15 @@
 and byte-identical reruns."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import fsmwm
 from fsmwm import Fsm, cli, format_fsm, format_graph, parse_fsm
 from fsmwm.cli import main
 from fsmwm.scanchain import MAX_SCAN_STEPS
@@ -250,8 +254,16 @@ def test_attack_command(host_file, tmp_path, capsys):
     (0, None, "11 2 8 0"),
     (-1, 3, "2"),
     (-1, 4, "Foo"),
+    (-1, 4, ""),
+    (-1, 4, "Latch 0"),
+    (-1, 1, "2"),
+    (-1, 2, "x"),
+    # The last record is cycle 62: 19 preamble cycles and 4 frames of 11.
+    (-1, 0, "61"),
+    (-1, 0, "63"),
 ], ids=["0", "1", "zero-width", "negative-width", "width-not-chi-plus-omega",
-        "tdo-2", "unknown-tap-state"])
+        "tdo-2", "unknown-tap-state", "4-fields", "6-fields", "tms-2", "tdi-x",
+        "repeated-index", "skipped-index"])
 def test_decode_scan_malformed_transcript_exits_3(host_file, tmp_path, capsys,
                                                   bad_line, field, text):
     lk = tmp_path / "lk.json"
@@ -273,6 +285,56 @@ def test_decode_scan_malformed_transcript_exits_3(host_file, tmp_path, capsys,
     assert main(["decode-scan", str(t)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decode_scan_reads_blank_lines_crlf_and_spaces(host_file, tmp_path, capsys):
+    # Blank lines are skipped, fields may be separated by runs of white
+    # space, and any line end str.splitlines knows ends a line, CRLF and
+    # form feed included: such a transcript decodes as the plain one.
+    lk = tmp_path / "lk.json"
+    assert main(["lprk", host_file, "-n", "3", "-k", "2", "-o", str(lk)]) == 0
+    t = tmp_path / "t.txt"
+    assert main(["scan-test", str(lk), "--chi", "1", "--omega", "8", "--branch", "1",
+                 "--steps", "3", "-o", str(t)]) == 0
+    capsys.readouterr()
+    assert main(["decode-scan", str(t)]) == 0
+    plain = capsys.readouterr().out
+    lines = t.read_text().splitlines()
+    ends = ["\r\n", "\n\n", "\r\n  \t\r\n", "\f", "\r", "\x1e"]
+    text = "\n\n" + "".join(
+        ("  " + "   ".join(ln.split()) + " \t" if i % 3 else ln) + ends[i % len(ends)]
+        for i, ln in enumerate(lines))
+    t.write_bytes(text.encode())
+    assert main(["decode-scan", str(t)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def _child_peak_mb(argv, cwd):
+    """Exit status and peak RSS in MB of the CLI run as a child process,
+    read from ``ru_maxrss`` by a wrapper process that has no other child."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "code = subprocess.run([sys.executable, '-m', 'fsmwm.cli'] + sys.argv[1:],"
+               " stdout=subprocess.DEVNULL).returncode\n"
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = str(Path(fsmwm.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", wrapper] + argv, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120, check=True)
+    code, peak = (int(x) for x in done.stdout.split())
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    return code, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def test_wide_scan_memory_does_not_grow_with_the_transcript(host_file, tmp_path):
+    # 256 steps of a 1,024-bit register write a 5 MB transcript; neither
+    # side holds it, or a record per clock cycle, in memory.
+    assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(tmp_path / "lk.json")]) == 0
+    for argv in (["scan-test", "lk.json", "--chi", "2", "--omega", "1022",
+                  "--steps", "256", "-o", "wide.txt"],
+                 ["decode-scan", "wide.txt"]):
+        code, peak_mb = _child_peak_mb(argv, tmp_path)
+        assert code == 0 and peak_mb < 40, (argv[0], code, peak_mb)
+    assert (tmp_path / "wide.txt").stat().st_size > 5_000_000
 
 
 def test_decode_scan_transcript_prefixes(host_file, tmp_path, capsys):
@@ -402,6 +464,25 @@ def test_config_cannot_supply_a_required_flag(host_file, tmp_path, capsys):
     assert "--length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["widht", "width", "config", "source"])
+def test_config_entry_naming_no_flag_exits_2(host_file, tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 5, "out": str(tmp_path / "lk.json")}))
+    with pytest.raises(SystemExit) as e:
+        main(["--config", str(cfg), "lprk", host_file, "-n", "2", "-k", "2"])
+    assert e.value.code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "lk.json").exists()
+
+
+def test_config_entry_for_another_subcommand_is_ignored(host_file, tmp_path):
+    # --omega and --seed are scan-test flags; lprk has neither.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega": 5, "seed": 7, "out": str(tmp_path / "lk.json")}))
+    assert main(["--config", str(cfg), "lprk", host_file, "-n", "2", "-k", "2"]) == 0
+    assert len(parse_fsm((tmp_path / "lk.json").read_text()).states) == 5
+
+
 def test_config_calls_share_one_parser(host_file, tmp_path, monkeypatch):
     cli._parser.cache_clear()
     built = []
@@ -409,7 +490,7 @@ def test_config_calls_share_one_parser(host_file, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
     cfg = tmp_path / "cfg.json"
     for n in ("2", "3"):
-        cfg.write_text(json.dumps({"width": 0, "out": str(tmp_path / f"lk{n}.json")}))
+        cfg.write_text(json.dumps({"omega": 0, "out": str(tmp_path / f"lk{n}.json")}))
         assert main(["--config", str(cfg), "lprk", host_file, "-n", n, "-k", "2"]) == 0
     assert built == [1]
     assert (tmp_path / "lk2.json").exists() and (tmp_path / "lk3.json").exists()
