@@ -69,9 +69,9 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _write(path: str, text):
+def _write(path: str, text: str):
     with _open(path, "w") as f:
-        f.writelines([text] if isinstance(text, str) else text)
+        f.write(text)
 
 
 def _load(path: str, graph: bool = False):
@@ -290,7 +290,8 @@ def _run(args) -> int:
         m = _load(args.machine)
         t = scan_watermark_test(m, args.chi, args.omega, args.branch,
                                 args.seed, args.steps, setting=args.setting)
-        _write(args.out, t)
+        with _open(args.out, "w") as f:
+            f.writelines(t)                     # clocked and written a frame at a time
     elif args.cmd == "decode-scan":
         with _open(args.transcript) as f:       # whole lines, about 64 kB at a time
             lines = map("".join, iter(lambda: f.readlines(1 << 16), []))

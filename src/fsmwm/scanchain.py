@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 
 from .errors import CapExceededError, FsmwmError
 from .machine import Fsm
@@ -17,9 +19,9 @@ LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
 # Widest scan register, chi + omega bits: a setting of 1024! has 2,640
 # digits, under Python's 4,300-digit limit for printing an integer.
 MAX_REGISTER_BITS = 1024
-# Most steps one scan test drives.  Transcripts are written a frame at a time,
-# so the cap bounds the file (chi + omega + 2 lines a step), not the memory.
+# Most steps one scan test drives, chi + omega + 2 transcript lines a step.
 MAX_SCAN_STEPS = 1 << 14
+_KEPT_LINES = 1 << 16           # most lines of repeated-frame templates a drive keeps
 _NEXT = {LATCH: SHIFT, SHIFT: ASSERT, ASSERT: LATCH}
 _BIT = {"0": 0, "1": 1}
 
@@ -34,14 +36,11 @@ def permutation_by_index(n: int, i: int) -> tuple[int, ...]:
     n never materializes n! beyond the index arithmetic."""
     if not 1 <= i <= math.factorial(n):
         raise FsmwmError(f"permutation index {i} out of range 1..{n}!")
-    rank = i - 1
-    digits = []
+    rank, pool, out = i - 1, list(range(n)), []
     for pos in range(n):
-        f = math.factorial(n - 1 - pos)
-        digits.append(rank // f)
-        rank %= f
-    pool = list(range(n))
-    return tuple(pool.pop(d) for d in digits)
+        d, rank = divmod(rank, math.factorial(n - 1 - pos))
+        out.append(pool.pop(d))
+    return tuple(out)
 
 
 def apply_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
@@ -57,15 +56,10 @@ def invert_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
 
 
 def draw_setting(rng: random.Random, n: int) -> int:
-    """Uniform setting in [1, n!] via uniform factorial-base digits.
-
-    Stands in for the hardware noise source; seeded, so reproducible.
-    """
-    rank = 0
-    for pos in range(n):
-        f = math.factorial(n - 1 - pos)
-        rank += rng.randint(0, n - 1 - pos) * f
-    return rank + 1
+    """Uniform setting in [1, n!] via uniform factorial-base digits: stands
+    in for the hardware noise source; seeded, so reproducible."""
+    return 1 + sum(rng.randint(0, n - 1 - pos) * math.factorial(n - 1 - pos)
+                   for pos in range(n))
 
 
 def setting_bit_width(n_b: int) -> int:
@@ -91,13 +85,14 @@ def bits_to_int(bits) -> int:
 @dataclass
 class Transcript:
     """A session's serial log: the header and, per window of cycles, a line
-    template (a ``%d`` per cycle index) and cycle count; iterates as text."""
+    template (a ``%d`` per cycle index) and cycle count.  It iterates as text
+    a window at a time; ``records`` parses the cycles back only when asked."""
 
     n_b: int
     chi: int
     omega: int
     seed: int
-    windows: list[tuple[str, int]] = field(default_factory=list)
+    windows: Iterable[tuple[str, int]] = field(default_factory=list)
 
     def __iter__(self):
         yield f"{self.n_b} {self.chi} {self.omega} {self.seed}\n"
@@ -116,8 +111,8 @@ def format_transcript(t: Transcript) -> str:
     return "".join(t)
 
 
-def _read_transcript(text) -> tuple[Transcript, list[int]]:
-    """Check a transcript's lines one by one: its header and Shift TDO bits."""
+def _read_transcript(text):
+    """Yield a transcript's header, then its Shift TDO bits, checking each record."""
     rows = filter(None, map(str.split, chain.from_iterable(map(str.splitlines, text))))
     if (header := next(rows, None)) is None:
         raise FsmwmError("empty transcript")
@@ -131,7 +126,7 @@ def _read_transcript(text) -> tuple[Transcript, list[int]]:
     if n_b > MAX_REGISTER_BITS:
         raise CapExceededError(f"transcript register of {n_b} bits is past "
                                f"the {MAX_REGISTER_BITS}-bit cap")
-    shift_bits = []
+    yield Transcript(n_b, chi, omega, seed)
     for expect, row in enumerate(rows):
         try:
             idx, tms, tdi, tdo, st = row
@@ -143,13 +138,14 @@ def _read_transcript(text) -> tuple[Transcript, list[int]]:
         if idx != expect:
             raise FsmwmError("cycle indices must be consecutive from 0")
         if st == SHIFT:
-            shift_bits.append(tdo)
-    return Transcript(n_b, chi, omega, seed), shift_bits
+            yield tdo
 
 
 def parse_transcript(text: str) -> Transcript:
     """A transcript's text, its records checked as ``decode_transcript`` does."""
-    t, _ = _read_transcript([text])
+    shift_bits = _read_transcript([text])
+    t = next(shift_bits)
+    list(shift_bits)                        # reads, and so checks, every record
     rows = [" ".join(ln.split()[1:]) for ln in text.splitlines() if ln.strip()][1:]
     return replace(t, windows=[("".join(f"%d {r}\n" for r in rows), len(rows))])
 
@@ -175,17 +171,12 @@ class TapSession:
         need = max(machine.states).bit_length()
         if omega < need:
             raise FsmwmError(f"omega {omega} too narrow; need at least {need} bits")
-        self.machine = machine
-        self.chi = chi
-        self.omega = omega
+        self.machine, self.chi, self.omega, self.seed = machine, chi, omega, seed
         self.n_b = chi + omega
-        self.seed = seed
-        rng = random.Random(seed)
-        self.setting = setting if setting is not None else draw_setting(rng, self.n_b)
+        self.setting = (setting if setting is not None
+                        else draw_setting(random.Random(seed), self.n_b))
         self.perm = permutation_by_index(self.n_b, self.setting)
-        self.tap_state = LATCH
-        self.mstate = machine.reset
-        self.last_input_bits = [0] * chi
+        self.tap_state, self.mstate, self.last_input_bits = LATCH, machine.reset, [0] * chi
         self.transcript = Transcript(self.n_b, chi, omega, seed)
         self.chain = int_to_bits(self.setting - 1, setting_bit_width(self.n_b))
         self._latch()
@@ -197,10 +188,8 @@ class TapSession:
     def _assert(self):
         frame = invert_perm(self.chain[-self.n_b:], self.perm)
         self.last_input_bits = frame[self.omega:]
-        move = self.machine.transitions.get(
-            (self.mstate, str(bits_to_int(self.last_input_bits))))
-        if move is not None:        # undefined input: the machine stays frozen
-            self.mstate = move[0]
+        self.mstate = self.machine.transitions.get(     # an undefined input freezes it
+            (self.mstate, str(bits_to_int(self.last_input_bits))), (self.mstate,))[0]
         self.chain = []
 
     def _clock(self, tms: int, tdis: list[int]) -> list[int]:
@@ -232,28 +221,39 @@ class TapSession:
         return self._clock(tms, [tdi])[0]
 
 
+@dataclass
+class _Frames:
+    """One frame per input value, clocked afresh on each pass from ``opening()``:
+    Shift the register out as the permuted next frame feeds in, Assert, Latch.
+    From Latch, a later frame depends only on its value and the latched frame."""
+
+    opening: Callable[[], TapSession]
+    input_values: list[int]
+
+    def __iter__(self):
+        s, frames = self.opening(), {}
+        windows, preamble = s.transcript.windows, [0] * setting_bit_width(s.n_b)
+        for f, value in enumerate(self.input_values):
+            key = (value, s.mstate, *s.last_input_bits) if f and s.tap_state == LATCH else None
+            if key in frames:                   # a repeat replays as one template
+                template, s.mstate, s.last_input_bits, s.chain = frames[key]
+                windows.append((template, s.n_b + 2))
+            else:
+                feed = apply_perm([0] * s.omega + int_to_bits(value, s.chi), s.perm)
+                s._clock(1, preamble + feed if f == 0 else feed)   # one Shift window
+                s._clock(1, [0])                # enter Assert
+                s._clock(1, [0])                # enter Latch
+                if key is not None and len(frames) * (s.n_b + 2) < _KEPT_LINES:
+                    frames[key] = ("".join(t for t, _ in windows[-3:]), s.mstate,
+                                   s.last_input_bits, s.chain)
+            yield from windows              # the frame's, and any clocked before it
+            windows.clear()
+
+
 def drive_frames(session: TapSession, input_values: list[int]) -> Transcript:
-    """Run one frame per input value: enter Shift, stream the register
-    out while feeding the permuted next frame in, then assert and latch.
-    From Latch, a frame after the first depends only on its value and the
-    latched frame, so each distinct one is clocked once and then reused."""
-    s, frames = session, {}
-    preamble, windows = [0] * setting_bit_width(s.n_b), s.transcript.windows
-    for f, value in enumerate(input_values):
-        key = (value, s.mstate, *s.last_input_bits) if f and s.tap_state == LATCH else None
-        if key not in frames:
-            feed = apply_perm([0] * s.omega + int_to_bits(value, s.chi), s.perm)
-            s._clock(1, preamble + feed if f == 0 else feed)   # one Shift window
-            s._clock(1, [0])                # enter Assert
-            s._clock(1, [0])                # enter Latch
-            if key is None:
-                continue
-            frames[key] = ("".join(t for t, _ in windows[-3:]), s.mstate,
-                           s.last_input_bits, s.chain)
-            del windows[-3:]
-        template, s.mstate, s.last_input_bits, s.chain = frames[key]
-        windows.append((template, s.n_b + 2))    # the frame's lines as one template
-    return s.transcript
+    """Run one frame per input value on the session and keep its windows."""
+    session.transcript.windows = list(_Frames(lambda: session, input_values))
+    return session.transcript
 
 
 def decode_transcript(transcript):
@@ -261,19 +261,18 @@ def decode_transcript(transcript):
     from the serial log: a Transcript, or its lines (an open file will do).
     Requires knowledge of the permutation scheme; the setting itself is read
     from the unpermuted preamble, and one outside 1..n_b! is refused."""
-    t, shift_bits = _read_transcript(transcript)
+    shift_bits = _read_transcript(transcript)
+    t = next(shift_bits)
     p = setting_bit_width(t.n_b)
-    if len(shift_bits) < p:
+    if len(preamble := list(islice(shift_bits, p))) < p:
         raise FsmwmError("transcript shorter than the setting preamble")
-    decoded_setting = bits_to_int(shift_bits[:p]) + 1
+    decoded_setting = bits_to_int(preamble) + 1
     perm = permutation_by_index(t.n_b, decoded_setting)
     payload = []
-    rest = shift_bits[p:]
-    if len(rest) % t.n_b:
-        raise FsmwmError(f"transcript ends inside a frame: {len(rest)} shifted "
-                         f"bits after the preamble are not whole {t.n_b}-bit frames")
-    for off in range(0, len(rest), t.n_b):
-        frame = invert_perm(rest[off:off + t.n_b], perm)
+    while frame := list(islice(shift_bits, t.n_b)):       # a frame at a time
+        if len(frame) < t.n_b:
+            raise FsmwmError(f"transcript ends inside a frame of {t.n_b} shifted bits")
+        frame = invert_perm(frame, perm)
         payload.append((bits_to_int(frame[:t.omega]), bits_to_int(frame[t.omega:])))
     return decoded_setting, payload
 
@@ -281,17 +280,16 @@ def decode_transcript(transcript):
 def scan_watermark_test(machine: Fsm, chi: int, omega: int, branch: int,
                         seed: int, steps: int,
                         setting: int | None = None) -> Transcript:
-    """Drive a complete serial watermark test for one branch.
-
-    The schedule is the branch selector, steps-1 ticks, and one trailing
-    tick whose frame flushes the final latched state out of the register.
-    Refuses more than ``MAX_SCAN_STEPS`` steps.
-    """
-    session = TapSession(machine, chi, omega, seed, setting=setting)
+    """Drive a complete serial watermark test for one branch: the branch
+    selector, steps-1 ticks, and one trailing tick whose frame flushes the
+    final latched state out of the register.  Refuses more than
+    ``MAX_SCAN_STEPS`` steps.  The transcript is clocked afresh when read."""
+    opening = partial(TapSession, machine, chi, omega, seed, setting=setting)
+    t = opening().transcript                # checks the register against the machine
     if not 0 <= branch < 1 << chi:
         raise FsmwmError(f"branch {branch} does not fit chi={chi} input bits")
     if steps < 1:
         raise FsmwmError(f"step count {steps} must be >= 1")
     if steps > MAX_SCAN_STEPS:
         raise CapExceededError(f"step count {steps} is past the cap of {MAX_SCAN_STEPS}")
-    return drive_frames(session, [branch] + [0] * steps)
+    return replace(t, windows=_Frames(opening, [branch] + [0] * steps))

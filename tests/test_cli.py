@@ -15,7 +15,7 @@ from fsmwm import Fsm, cli, format_fsm, format_graph, parse_fsm
 from fsmwm.cli import main
 from fsmwm.scanchain import MAX_SCAN_STEPS
 from fsmwm.verify import MAX_VERIFY_LENGTH
-from conftest import clique_with_leaves, make_host8
+from conftest import clique_with_leaves, make_chain_host, make_host8
 
 
 @pytest.fixture
@@ -335,6 +335,18 @@ def test_wide_scan_memory_does_not_grow_with_the_transcript(host_file, tmp_path)
         code, peak_mb = _child_peak_mb(argv, tmp_path)
         assert code == 0 and peak_mb < 40, (argv[0], code, peak_mb)
     assert (tmp_path / "wide.txt").stat().st_size > 5_000_000
+
+
+def test_scan_memory_without_repeated_frames(tmp_path):
+    # A 2,048-step walk down a 2,100-state chain: every frame differs, so
+    # none replays a kept template, and the 41 MB transcript still streams.
+    (tmp_path / "chain.json").write_text(format_fsm(make_chain_host(2100)))
+    for argv in (["scan-test", "chain.json", "--chi", "1", "--omega", "1023",
+                  "--steps", "2048", "-o", "long.txt"],
+                 ["decode-scan", "long.txt"]):
+        code, peak_mb = _child_peak_mb(argv, tmp_path)
+        assert code == 0 and peak_mb < 40, (argv[0], code, peak_mb)
+    assert (tmp_path / "long.txt").stat().st_size > 40_000_000
 
 
 def test_decode_scan_transcript_prefixes(host_file, tmp_path, capsys):
