@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from operator import indexOf
 
 from .errors import (
@@ -79,7 +80,7 @@ class PartitionPair:
 # Work units one lattice search may spend: every state placement the
 # enumeration tries plus every orthogonality probe of the pair search.
 # The densest host8 shape it answers, the star (1, 9), spends 811,302;
-# the stars (1, 10) and (1, 11) are refused.
+# the star (1, 10) passes it in the pair probes, (1, 11) while enumerating.
 SP_SEARCH_BUDGET = 1 << 20
 
 
@@ -106,32 +107,16 @@ def _sp_tables(m: Fsm, states) -> tuple[list[int], list[list]]:
     return domains, steps
 
 
-def _place(steps, assign, image, width: int, undo: list) -> bool:
-    """Record the image block of each step's (block, input) in ``image``;
-    False at the first step whose image disagrees with the one recorded.
-    New entries go on ``undo``."""
-    for a, x, c in steps:
-        slot = assign[a] * width + x
-        seen = image[slot]
-        if seen is None:
-            image[slot] = assign[c]
-            undo.append(slot)
-        elif seen != assign[c]:
-            return False
-    return True
-
-
 def is_input_preserving(m: Fsm, pi: Partition) -> bool:
     """Blockwise consistency under every input: the states of a block
     define the same inputs, and each input leads them into one block."""
     if pi.states != tuple(sorted(m.states)):
         raise PartitionError("partition does not cover the state set")
     domains, steps = _sp_tables(m, pi.states)
-    block_domain: dict[int, int] = {}
-    if any(block_domain.setdefault(b, d) != d for b, d in zip(pi.assign, domains)):
-        return False
-    image = [None] * (len(pi) * len(m.inputs))
-    return all(_place(s, pi.assign, image, len(m.inputs), []) for s in steps)
+    a, width, block_domain, image = pi.assign, len(m.inputs), {}, {}
+    return (all(block_domain.setdefault(b, d) == d for b, d in zip(a, domains))
+            and all(image.setdefault(a[s] * width + x, a[c]) == a[c]
+                    for step in steps for s, x, c in step))
 
 
 def is_orthogonal(p1: Partition, p2: Partition) -> bool:
@@ -141,12 +126,12 @@ def is_orthogonal(p1: Partition, p2: Partition) -> bool:
     return len(set(zip(p1.assign, p2.assign))) == len(p1.states)
 
 
-def _sp_search(m: Fsm, max_states: int) -> tuple[list[Partition], int]:
-    """Every input-preserving partition in restricted-growth order, and
-    the placements tried.  States are placed one at a time; a placement
-    checks only the steps it makes judgeable and is undone on
-    backtracking, so a prefix that fails is dropped with all its
-    extensions."""
+def _sp_search(m: Fsm, max_states: int) -> tuple[tuple, list[tuple], int]:
+    """The sorted states, the ``assign`` tuple of every input-preserving
+    partition in restricted-growth order, and the placements tried.
+    States are placed one at a time; a placement checks only the steps it
+    makes judgeable and is undone on backtracking, so a prefix that fails
+    is dropped with all its extensions."""
     states = tuple(sorted(m.states))
     n = len(states)
     if n > max_states:
@@ -166,12 +151,12 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[list[Partition], int]:
     def extend(i: int, top: int):
         nonlocal placements
         if i == n:
-            found.append(Partition(states, tuple(assign)))
+            found.append(tuple(assign))
             return
         # A placed predecessor whose block already has an image under the
         # step's input leaves state i only that block; two such images
         # leave it none, and each try fails.
-        forced = {image[assign[a] * width + x] for a, x in preds[i]}
+        forced = {image[assign[a] * width + x] for a, x in preds[i]} if preds[i] else set()
         forced.discard(None)
         blocks = forced or range(top + 2)
         placements += len(blocks)
@@ -184,7 +169,16 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[list[Partition], int]:
                 continue
             assign[i] = b
             mark = len(undo)
-            if _place(steps[i], assign, image, width, undo):
+            # each step now judgeable records its (block, input) image
+            for a, x, c in steps[i]:
+                slot = assign[a] * width + x
+                seen = image[slot]
+                if seen is None:
+                    image[slot] = assign[c]
+                    undo.append(slot)
+                elif seen != assign[c]:
+                    break
+            else:
                 extend(i + 1, max(top, b))
             for slot in undo[mark:]:
                 image[slot] = None
@@ -192,26 +186,36 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[list[Partition], int]:
 
     if n:
         extend(0, -1)
-    return found, placements
+    return states, found, placements
 
 
 def enumerate_sp_partitions(m: Fsm, max_states: int = 12) -> list[Partition]:
     """Every input-preserving partition, in restricted-growth order.
     Refuses machines above the cap, and a search past
     ``SP_SEARCH_BUDGET``: the lattice can grow with the Bell numbers."""
-    return _sp_search(m, max_states)[0]
+    states, found, _ = _sp_search(m, max_states)
+    return [Partition(states, a) for a in found]
 
 
-def _pair_mask(assign) -> int:
-    """One bit per pair of states in one block: bit j*(j-1)/2 + i for
-    states i < j.  Two partitions are orthogonal iff their masks are
-    disjoint."""
-    members = [0] * len(assign)
-    mask = 0
-    for j, b in enumerate(assign):
-        mask |= members[b] << (j * (j - 1) // 2)
-        members[b] |= 1 << j
-    return mask
+def _ranked(assigns) -> list:
+    """(key, largest block, pair mask, assign) per assignment of one block
+    count, in key order.  A key lists each block as -1 then its state
+    indices; indices ascend with the states and -1 puts a block that ends
+    first, so keys order as signatures do.  Orthogonal partitions have
+    disjoint masks, which set bit j*(j-1)/2 + i for i < j in one block."""
+    size, tri = max(assigns[0]) + 1, [j * (j - 1) // 2 for j in range(len(assigns[0]))]
+    ranked = []
+    for a in assigns:
+        blocks = [[-1] for _ in range(size)]
+        members = [0] * size
+        mask = 0
+        for j, b in enumerate(a):
+            blocks[b].append(j)
+            mask |= members[b] << tri[j]
+            members[b] |= 1 << j
+        ranked.append((sum(blocks, []), max(map(len, blocks)) - 1, mask, a))
+    ranked.sort()
+    return ranked
 
 
 def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
@@ -220,33 +224,32 @@ def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
     partition) are excluded.  Deterministic tie-break on block signatures.
 
     Totals are tried in ascending order, each split into block counts
-    with ``|pi_1| * |pi_2| >= n``.  A partition is skipped where its
-    largest block outnumbers the other side's blocks, since the states of
-    one block need distinct blocks in its partner.  Each group is in
-    signature order, so a pi_1's first orthogonal partner is its best and
-    a group ends at the first pi_1 past the best pair so far.  Refuses a
-    search whose placements plus pair probes pass ``SP_SEARCH_BUDGET``."""
+    with ``|pi_1| * |pi_2| >= n``.  Candidates stay ``assign`` tuples
+    grouped by block count; a group is ranked when a split first reaches
+    it, and only the pair returned becomes ``Partition``s.  A partition
+    is skipped where its largest block outnumbers the other side's
+    blocks, since the states of one block need distinct blocks in its
+    partner.  Each group is in signature order, so a pi_1's first
+    orthogonal partner is its best and a group ends at the first pi_1
+    past the best pair so far.  Refuses a search whose placements plus
+    pair probes pass ``SP_SEARCH_BUDGET``."""
     n = len(m.states)
-    found, spent = _sp_search(m, cap)
-    groups: dict[int, list] = {}
-    for p in found:
-        if 1 < len(p) < n:
-            sig = p.signature()
-            groups.setdefault(len(sig), []).append(
-                (sig, max(map(len, sig)), _pair_mask(p.assign), p))
-    for group in groups.values():
-        group.sort(key=lambda c: c[0])
+    states, found, spent = _sp_search(m, cap)
+    buckets: dict[int, list] = {}
+    for a in found[:-1]:  # the last, in restricted-growth order, is all singletons
+        buckets.setdefault(max(a) + 1, []).append(a)
+    ranked = cache(lambda size: _ranked(buckets[size]))
     for total in range(4, 2 * n - 1):
         best = None
         for len1 in range(2, total - 1):
             len2 = total - len1
-            if len1 * len2 < n or len1 not in groups or len2 not in groups:
+            if len1 * len2 < n or len1 not in buckets or len2 not in buckets:
                 continue
-            partners = [c for c in groups[len2] if c[1] <= len1]
+            partners = [c for c in ranked(len2) if c[1] <= len1]
             # the trailing 0 ends a scan that finds no orthogonal partner
             masks = [c[2] for c in partners] + [0]
-            for sig1, big1, mask1, p1 in groups[len1]:
-                if best is not None and sig1 > best[0]:
+            for key1, big1, mask1, a1 in ranked(len1):
+                if best is not None and key1 > best[0]:
                     break
                 if big1 > len2:
                     continue
@@ -255,9 +258,9 @@ def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
                 if spent > SP_SEARCH_BUDGET:
                     raise _over_budget()
                 if j < len(partners):
-                    best = (sig1, p1, partners[j][3])
+                    best = (key1, a1, partners[j][3])
         if best is not None:
-            return PartitionPair(best[1], best[2])
+            return PartitionPair(Partition(states, best[1]), Partition(states, best[2]))
     raise NoNontrivialDecompositionError(
         "only trivial orthogonal pairs exist for this machine"
     )

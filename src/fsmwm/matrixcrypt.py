@@ -6,9 +6,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatchError, DimensionError, FsmwmError
+from .errors import AlphabetMismatchError, CapExceededError, DimensionError, FsmwmError
 from .machine import ConnGraph, Fsm, _reachable, standard_cg_machine
 from .reduction import chain_of
+
+# Most states a decoder has: its table holds m * m steps (interim bound).
+MAX_DECODER_STATES = 512
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,9 @@ def build_decryption_machine(key: PermKey, lpr_graph: ConnGraph) -> Fsm:
     """Verifier-side machine that mimics the reduction but only advances
     on the concealed machine's next emission; any other input leaves it in
     place echoing its current state."""
+    if len(lpr_graph.vertices) > MAX_DECODER_STATES:
+        raise CapExceededError(f"a {len(lpr_graph.vertices)}-state decoder passes the cap "
+                               f"of {MAX_DECODER_STATES}")
     trace = trace_pair(lpr_graph, key)
     chain = [u for u, _ in trace]
     inputs = tuple(str(v) for _, v in sorted(trace, key=lambda p: p[1]))

@@ -13,6 +13,7 @@ import pytest
 import fsmwm
 from fsmwm import Fsm, cli, format_fsm, format_graph, parse_fsm
 from fsmwm.cli import main
+from fsmwm.matrixcrypt import MAX_DECODER_STATES
 from fsmwm.scanchain import MAX_SCAN_STEPS
 from fsmwm.verify import MAX_VERIFY_LENGTH
 from conftest import clique_with_leaves, make_chain_host, make_host8
@@ -214,15 +215,37 @@ def test_decompose_optimal_cap_refusal(host_file, tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
-def test_emit_package_optimal_budget_exits_3(host_file, tmp_path, capsys):
+@pytest.mark.parametrize("k", ["10", "11"])
+def test_emit_package_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
     p, s = tmp_path / "p.json", tmp_path / "s.json"
     t0 = time.perf_counter()
-    assert main(["emit-package", host_file, "--mode", "optimal", "-n", "1", "-k", "11",
+    assert main(["emit-package", host_file, "--mode", "optimal", "-n", "1", "-k", k,
                  "--out-package", str(p), "--out-secret", str(s)]) == 3
     assert time.perf_counter() - t0 < 10.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget of 1048576 steps" in err
     assert not p.exists() and not s.exists()
+
+
+def test_emit_package_matrix_decoder_cap_exits_3(host_file, tmp_path, capsys):
+    p, s = tmp_path / "p.json", tmp_path / "s.json"
+    assert main(["emit-package", host_file, "--mode", "matrix", "-m", str(MAX_DECODER_STATES + 1),
+                 "--out-package", str(p), "--out-secret", str(s)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "513-state decoder passes the cap of 512" in err
+    assert not p.exists() and not s.exists()
+
+
+def test_build_decrypt_decoder_cap_exits_3(host_file, tmp_path, capsys):
+    red, key, dec = tmp_path / "red.json", tmp_path / "key.txt", tmp_path / "dec.json"
+    assert main(["lpr", host_file, "-m", str(MAX_DECODER_STATES + 1), "-o", str(red)]) == 0
+    assert main(["encrypt-matrix", str(red), "--seed", "1", "--out-machine",
+                 str(tmp_path / "wm.json"), "--out-key", str(key)]) == 0
+    capsys.readouterr()
+    assert main(["build-decrypt", str(red), "--key", str(key), "-o", str(dec)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "513-state decoder passes the cap of 512" in err
+    assert not dec.exists()
 
 
 def test_scan_test_and_decode(host_file, tmp_path, capsys):

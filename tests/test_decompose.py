@@ -252,12 +252,33 @@ def test_minimal_decomposition_golden_pairs_large():
     assert {shape: _host8_pair(*shape) for shape in GOLDEN_PAIRS_LARGE} == GOLDEN_PAIRS_LARGE
 
 
+def _count_partitions(monkeypatch) -> list:
+    """The assign of every Partition built from here on."""
+    built, check = [], Partition.__post_init__
+
+    def counted(p):
+        built.append(p.assign)
+        check(p)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    return built
+
+
 @pytest.mark.parametrize("k", [10, 11])
-def test_minimal_decomposition_budget_refuses_dense_stars(k):
+def test_minimal_decomposition_budget_refuses_dense_stars(k, monkeypatch):
     # (1, 10) has 115,975 SP partitions and its pair probes pass the
     # budget; the enumeration of (1, 11) passes it before any probe.
+    # Candidates stay block-assignment tuples, so neither builds a Partition.
+    built = _count_partitions(monkeypatch)
     with pytest.raises(CapExceededError, match="budget"):
         _host8_pair(1, k)
+    assert built == []
+
+
+def test_minimal_decomposition_builds_only_the_pair_returned(monkeypatch):
+    built = _count_partitions(monkeypatch)
+    assert _host8_pair(5, 2) == GOLDEN_PAIRS[5, 2]
+    assert len(built) == 2
 
 
 def test_enumerate_cap(rng):
