@@ -215,8 +215,7 @@ def test_decompose_optimal_cap_refusal(host_file, tmp_path, capsys):
     assert "capped" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", ["10", "11"])
-def test_emit_package_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
+def _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
     p, s = tmp_path / "p.json", tmp_path / "s.json"
     t0 = time.perf_counter()
     assert main(["emit-package", host_file, "--mode", "optimal", "-n", "1", "-k", k,
@@ -225,6 +224,14 @@ def test_emit_package_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget of 1048576 steps" in err
     assert not p.exists() and not s.exists()
+
+
+def test_emit_package_optimal_budget_exits_3(host_file, tmp_path, capsys):
+    _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, "11")
+
+
+def test_emit_package_optimal_budget_k10_exits_3(host_file, tmp_path, capsys):
+    _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, "10")
 
 
 def test_emit_package_matrix_decoder_cap_exits_3(host_file, tmp_path, capsys):
