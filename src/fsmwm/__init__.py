@@ -38,7 +38,6 @@ from .reduction import (
     Path,
     add_shift_hash,
     branch_input_bits,
-    branch_state_id,
     find_branch_width,
     longest_simple_path,
     lpr,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 from .errors import FsmwmError
@@ -205,9 +204,7 @@ def _parse_args(argv):
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    config = json.loads(_read(args.config))
-    if not isinstance(config, dict):
-        raise FsmwmError("config file must hold a JSON object")
+    config = _load_doc(_read(args.config))
     known = {a.dest for sp in subcommands.values() for a in sp._actions if a.option_strings}
     for key in sorted(config.keys() - known):
         parser.error(f"--config entry {key!r} names no flag of any subcommand")
@@ -324,7 +321,7 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     try:
         return _run(_parse_args(argv))
-    except (FsmwmError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (FsmwmError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

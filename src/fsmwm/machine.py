@@ -15,6 +15,7 @@ from functools import cached_property
 from .errors import CapExceededError, HaltError, SemanticError, SyntaxError_
 
 KISS2_MAX_INPUT_BITS = 16   # .i above this would build over 65,536 input symbols
+KISS2_MAX_TRANSITIONS = 1 << 20     # steps the don't-care input bits may expand to
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,8 @@ def _load_doc(text: str, kind: str | None = None) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SyntaxError_(e.msg, line=e.lineno, column=e.colno) from e
+    except (ValueError, RecursionError) as e:   # an integer of over 4,300 digits, or deep nesting
+        raise SyntaxError_(str(e)) from e
     if not isinstance(doc, dict):
         raise SemanticError("document must be a JSON object")
     if kind is not None and doc.get("kind") != kind:
@@ -298,7 +301,8 @@ def parse_kiss2(text: str) -> Fsm:
 
     Symbolic state names become dense integer ids in order of first
     appearance, the reset state first.  Don't-care input bits expand.
-    The alphabet holds all 2**.i input symbols, so ``.i`` is capped.
+    The alphabet holds all 2**.i input symbols, so ``.i`` is capped, and
+    so is the number of steps the don't-cares expand to.
     """
     headers: dict[str, str] = {}
     lines = []
@@ -316,11 +320,15 @@ def parse_kiss2(text: str) -> Fsm:
         lines.append((lineno, parts))
     if ".i" not in headers or ".o" not in headers:
         raise SemanticError("missing .i/.o header")
-    if not headers[".i"].isdecimal():
-        raise SemanticError(f".i must be a non-negative integer, not {headers['.i']!r}")
-    ni = int(headers[".i"])
-    if ni > KISS2_MAX_INPUT_BITS:
-        raise CapExceededError(f".i {ni} passes the cap of {KISS2_MAX_INPUT_BITS} input bits")
+    if not (width := headers[".i"]).isdecimal():
+        raise SemanticError(f".i must be a non-negative integer, not {width!r}")
+    # The length first: int() refuses a string of over 4,300 digits.
+    if len(width.lstrip("0")) > 2 or int(width) > KISS2_MAX_INPUT_BITS:
+        raise CapExceededError(f".i {width} passes the cap of {KISS2_MAX_INPUT_BITS} input bits")
+    ni = int(width)
+    if sum(1 << ibits.count("-") for _, (ibits, *_) in lines) > KISS2_MAX_TRANSITIONS:
+        raise CapExceededError("don't-care input bits expand past the cap of "
+                               f"{KISS2_MAX_TRANSITIONS} transitions")
     name_to_id: dict[str, int] = {}
 
     def state_id(name: str) -> int:

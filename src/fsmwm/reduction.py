@@ -206,17 +206,6 @@ def branch_input_bits(k: int) -> int:
     return max(1, math.ceil(math.log2(k))) if k > 1 else 1
 
 
-def branch_state_id(rank: int, branch: int, n: int, z: int) -> int:
-    """Id of the state at sized-path rank ``rank`` (0..n-1) of 0-based
-    ``branch``: the add-shift hash with offset branch*n and no rotation,
-    which is branch*n + rank.
-
-    Each branch owns the id range [branch*n, branch*n + n), so the ids of
-    the n*k branch states are distinct whenever z >= find_branch_width(n, k).
-    """
-    return add_shift_hash(rank, r=branch * n, c=0, z=z)
-
-
 def find_branch_width(n: int, k: int) -> int:
     """Bits that hold the branch-state ids 0..n*k-1."""
     return max(1, (n * k - 1).bit_length())
@@ -226,13 +215,16 @@ def lpr_k(g: ConnGraph, shape: LprkSpec) -> Fsm:
     """Join k renumbered copies of the host's length-n sized path at a
     fresh start state ``1 << z``.
 
-    Row t of branch b is ``branch_state_id(rank_t, b, n, z)``, where rank_t
-    is the rank of the t-th sized-path vertex among the path's n vertices,
-    so every branch visits its ids in the order of the host's path.  The
-    start state takes a branch-select input of chi bits (value v selects
-    branch v mod k); within a branch the tick input "0" advances, and the
-    branch tail ticks in place.  Outputs follow the standard convention:
-    each transition emits its source state.
+    Row t of branch b is ``add_shift_hash(rank_t, b * n, 0, z)``, which is
+    b*n + rank_t, where rank_t is the rank of the t-th sized-path vertex
+    among the path's n vertices, so every branch visits its ids in the
+    order of the host's path.  Branch b owns the id range [b*n, b*n + n),
+    so the n*k branch ids are distinct whenever z >= find_branch_width(n, k).
+
+    The start state takes a branch-select input of chi bits (value v
+    selects branch v mod k); within a branch the tick input "0" advances,
+    and the branch tail ticks in place.  Outputs follow the standard
+    convention: each transition emits its source state.
 
     Raises CapExceededError when n*k passes ``MAX_REDUCTION_STATES`` and
     HashCollisionError when z is narrower than ``find_branch_width(n, k)``.
@@ -245,7 +237,7 @@ def lpr_k(g: ConnGraph, shape: LprkSpec) -> Fsm:
             f"they need {find_branch_width(n, k)} bits")
     base = sized_path(longest_simple_path(g), n).vertices
     rank = {v: i for i, v in enumerate(sorted(base))}
-    columns = [[branch_state_id(rank[v], b, n, z) for v in base] for b in range(k)]
+    columns = [[add_shift_hash(rank[v], b * n, 0, z) for v in base] for b in range(k)]
     start = 1 << z
     chi = branch_input_bits(k)
     states = frozenset([start] + [s for col in columns for s in col])

@@ -34,11 +34,11 @@ def permutation_by_index(n: int, i: int) -> tuple[int, ...]:
     """The i-th permutation of range(n), 1-based, in lexicographic order;
     i=1 is the identity.  Decoded through factorial-base digits so large
     n never materializes n! beyond the index arithmetic."""
-    if not 1 <= i <= math.factorial(n):
+    if not 1 <= i <= (f := math.factorial(n)):
         raise FsmwmError(f"permutation index {i} out of range 1..{n}!")
     rank, pool, out = i - 1, list(range(n)), []
     for pos in range(n):
-        d, rank = divmod(rank, math.factorial(n - 1 - pos))
+        d, rank = divmod(rank, f := f // (n - pos))     # f is (n - 1 - pos)!
         out.append(pool.pop(d))
     return tuple(out)
 
@@ -58,13 +58,13 @@ def invert_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
 def draw_setting(rng: random.Random, n: int) -> int:
     """Uniform setting in [1, n!] via uniform factorial-base digits: stands
     in for the hardware noise source; seeded, so reproducible."""
-    return 1 + sum(rng.randint(0, n - 1 - pos) * math.factorial(n - 1 - pos)
-                   for pos in range(n))
+    f = math.factorial(n)                   # digit m - 1 weighs (m - 1)!, m = n..1
+    return 1 + sum(rng.randint(0, m - 1) * (f := f // m) for m in range(n, 0, -1))
 
 
 def setting_bit_width(n_b: int) -> int:
-    """Width of the unpermuted setting preamble."""
-    return max(1, math.ceil(math.log2(math.factorial(n_b)))) if n_b > 1 else 1
+    """Width of the unpermuted setting preamble: the bits of n_b! - 1, at least one."""
+    return max(1, (math.factorial(n_b) - 1).bit_length())
 
 
 def int_to_bits(value: int, width: int) -> list[int]:
@@ -107,10 +107,6 @@ class Transcript:
         return [(int(i), int(tms), int(tdi), int(tdo), st) for i, tms, tdi, tdo, st in rows]
 
 
-def format_transcript(t: Transcript) -> str:
-    return "".join(t)
-
-
 def _read_transcript(text):
     """Yield a transcript's header, then its Shift TDO bits, checking each record."""
     rows = filter(None, map(str.split, chain.from_iterable(map(str.splitlines, text))))
@@ -139,15 +135,6 @@ def _read_transcript(text):
             raise FsmwmError("cycle indices must be consecutive from 0")
         if st == SHIFT:
             yield tdo
-
-
-def parse_transcript(text: str) -> Transcript:
-    """A transcript's text, its records checked as ``decode_transcript`` does."""
-    shift_bits = _read_transcript([text])
-    t = next(shift_bits)
-    list(shift_bits)                        # reads, and so checks, every record
-    rows = [" ".join(ln.split()[1:]) for ln in text.splitlines() if ln.strip()][1:]
-    return replace(t, windows=[("".join(f"%d {r}\n" for r in rows), len(rows))])
 
 
 class TapSession:

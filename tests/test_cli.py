@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fsmwm
-from fsmwm import Fsm, cli, format_fsm, format_graph, parse_fsm
+from fsmwm import Fsm, cli, format_fsm, format_graph, machine, parse_fsm
 from fsmwm.cli import main
 from fsmwm.matrixcrypt import MAX_DECODER_STATES
 from fsmwm.scanchain import MAX_SCAN_STEPS
@@ -819,3 +819,60 @@ def test_kiss2_input_width_cap_exits_3(tmp_path, capsys):
     assert err.startswith("error:") and "cap of 16 input bits" in err
     kiss.write_text(".i 16\n.o 1\n.r a\n" + "0" * 16 + " a a 1\n")
     assert main(["extract-cg", str(kiss)]) == 0
+
+
+# Inputs that used to end in a traceback: an integer past Python's
+# 4,300-digit conversion limit, nesting past the recursion limit, a
+# 5,001-digit KISS2 .i, and 17 all-don't-care .i 16 lines (17 * 2**16 steps).
+_UNREADABLE = {
+    "long-reset": '{"states": [0], "inputs": [], "outputs": [], "transitions": [],'
+                  ' "reset": ' + "9" * 5001 + "}",
+    "deep-nesting": '{"states": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "long-kiss2-width": ".i " + "1" * 5001 + "\n.o 1\n.r a\n0 a a 1\n",
+    "kiss2-dont-cares": ".i 16\n.o 1\n" + "".join(f"{'-' * 16} s{j} s{j} 1\n"
+                                                 for j in range(17)),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["extract-cg", "{bad}"],
+    ["lpr", "{bad}", "-m", "2"],
+    ["verify", "--package", "{bad}", "--secret", "{s}", "--length", "3"],
+    ["verify", "--package", "{p}", "--secret", "{bad}", "--length", "3"],
+    ["--config", "{bad}", "extract-cg", "{host}"],
+], ids=["extract-cg", "lpr", "verify-package", "verify-secret", "config"])
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_unreadable_input_exits_3(host_file, tmp_path, capsys, command, name):
+    names = {"bad": str(tmp_path / "bad"), "host": host_file,
+             "p": str(tmp_path / "p.json"), "s": str(tmp_path / "s.json")}
+    assert main(["emit-package", host_file, "--mode", "fixed", "-n", "3", "-k", "2",
+                 "--out-package", names["p"], "--out-secret", names["s"]]) == 0
+    Path(names["bad"]).write_text(_UNREADABLE[name])
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unreadable_input_exits_3_as_a_process(tmp_path):
+    src = str(Path(fsmwm.__file__).resolve().parent.parent)
+    for name, text in sorted(_UNREADABLE.items()):
+        (tmp_path / "bad").write_text(text)
+        for argv in (["extract-cg", "bad"], ["--config", "bad", "extract-cg", "bad"]):
+            done = subprocess.run([sys.executable, "-m", "fsmwm.cli"] + argv, cwd=tmp_path,
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 3, (name, argv, done.stderr[-300:])
+            assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+def test_kiss2_dont_care_cap(tmp_path, capsys, monkeypatch):
+    # Lines that expand to exactly the cap are read; one step more is refused.
+    monkeypatch.setattr(machine, "KISS2_MAX_TRANSITIONS", 8)
+    kiss = tmp_path / "m.kiss2"
+    kiss.write_text(".i 2\n.o 1\n-- a a 1\n-- b b 1\n")
+    assert main(["extract-cg", str(kiss)]) == 0
+    kiss.write_text(kiss.read_text() + "0- c c 1\n")
+    capsys.readouterr()
+    assert main(["extract-cg", str(kiss)]) == 3
+    assert "cap of 8 transitions" in capsys.readouterr().err

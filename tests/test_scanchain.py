@@ -1,6 +1,7 @@
 """Serial test port: permutation scheme, TAP cycle accounting, and
 serial/parallel agreement."""
 
+import itertools
 import math
 import random
 
@@ -19,10 +20,8 @@ from fsmwm.scanchain import (
     apply_perm,
     bits_to_int,
     draw_setting,
-    format_transcript,
     int_to_bits,
     invert_perm,
-    parse_transcript,
     setting_bit_width,
 )
 from conftest import make_chain_host, random_machine
@@ -73,6 +72,16 @@ def test_setting_bit_width():
     assert setting_bit_width(5) == 7      # 5! = 120 needs 7 bits
 
 
+def test_factorial_base_matches_reference():
+    # The i-th permutation is the i-th of itertools.permutations, and the
+    # preamble width is the least w with n! <= 2**w, but at least one bit.
+    for n in range(1, 7):
+        perms = list(itertools.permutations(range(n)))
+        assert [permutation_by_index(n, i) for i in range(1, len(perms) + 1)] == perms
+        w = setting_bit_width(n)
+        assert 2 ** (w - 1) < math.factorial(n) <= 2 ** w or n == w == 1
+
+
 def test_int_bits_round_trip(rng):
     for _ in range(50):
         w = rng.randint(1, 12)
@@ -81,16 +90,18 @@ def test_int_bits_round_trip(rng):
 
 
 def test_transcript_format_round_trip():
+    # The text a transcript iterates as decodes, read back as lines, as
+    # the transcript itself does.
     host = make_chain_host(4)
     t = scan_watermark_test(host, 1, 2, 0, seed=5, steps=3)
-    back = parse_transcript(format_transcript(t))
-    assert back.records == t.records
-    assert (back.n_b, back.chi, back.omega, back.seed) == (3, 1, 2, 5)
+    text = "".join(t)
+    assert text.splitlines()[0] == "3 1 2 5"
+    assert decode_transcript(text.splitlines(keepends=True)) == decode_transcript(t)
 
 
 def test_transcript_rejects_gapped_indices():
     with pytest.raises(FsmwmError):
-        parse_transcript("3 1 2 5\n0 1 0 0 Shift\n2 0 0 0 Shift\n")
+        decode_transcript(["3 1 2 5\n", "0 1 0 0 Shift\n", "2 0 0 0 Shift\n"])
 
 
 def test_cycle_count_formula():
