@@ -290,12 +290,9 @@ def _run(args) -> int:
         with _open(args.out, "w") as f:
             f.writelines(t)                     # clocked and written a frame at a time
     elif args.cmd == "decode-scan":
-        with _open(args.transcript) as f:       # whole lines, about 64 kB at a time
-            lines = map("".join, iter(lambda: f.readlines(1 << 16), []))
-            setting, payload = decode_transcript(lines)
-        print(f"setting {setting}")
-        for state, value in payload:
-            print(f"{state} {value}")
+        with _open(args.transcript) as f:       # whole lines, about 16 kB at a time
+            setting, payload = decode_transcript(iter(lambda: f.read(1 << 14) + f.readline(), ""))
+        sys.stdout.write(f"setting {setting}\n" + "".join(f"{s} {v}\n" for s, v in payload))
     elif args.cmd == "attack":
         m = _load(args.machine)
         oracle = FsmOracle(m, args.chi)

@@ -1,6 +1,12 @@
 """Exception hierarchy shared across the toolkit."""
 
 
+def clip(text: str) -> str:
+    """At most 40 characters of the offending text for a message, the cut
+    marked with "..."."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 class FsmwmError(Exception):
     """Base class for all toolkit errors."""
 

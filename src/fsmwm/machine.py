@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CapExceededError, HaltError, SemanticError, SyntaxError_
+from .errors import CapExceededError, HaltError, SemanticError, SyntaxError_, clip
 
 KISS2_MAX_INPUT_BITS = 16   # .i above this would build over 65,536 input symbols
 KISS2_MAX_TRANSITIONS = 1 << 20     # steps the don't-care input bits may expand to
@@ -321,10 +321,11 @@ def parse_kiss2(text: str) -> Fsm:
     if ".i" not in headers or ".o" not in headers:
         raise SemanticError("missing .i/.o header")
     if not (width := headers[".i"]).isdecimal():
-        raise SemanticError(f".i must be a non-negative integer, not {width!r}")
+        raise SemanticError(f".i must be a non-negative integer, not {clip(width)!r}")
     # The length first: int() refuses a string of over 4,300 digits.
     if len(width.lstrip("0")) > 2 or int(width) > KISS2_MAX_INPUT_BITS:
-        raise CapExceededError(f".i {width} passes the cap of {KISS2_MAX_INPUT_BITS} input bits")
+        raise CapExceededError(f".i {clip(width)} passes the cap of "
+                               f"{KISS2_MAX_INPUT_BITS} input bits")
     ni = int(width)
     if sum(1 << ibits.count("-") for _, (ibits, *_) in lines) > KISS2_MAX_TRANSITIONS:
         raise CapExceededError("don't-care input bits expand past the cap of "

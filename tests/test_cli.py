@@ -1,8 +1,10 @@
 """Command-line behaviour: every subcommand, exit codes, config merge,
 and byte-identical reruns."""
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -355,7 +357,7 @@ def _child_peak_mb(argv, cwd):
     return code, peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
-def test_wide_scan_memory_does_not_grow_with_the_transcript(host_file, tmp_path):
+def test_wide_scan_memory_does_not_grow_with_the_transcript(host_file, tmp_path, capsys):
     # 256 steps of a 1,024-bit register write a 5 MB transcript; neither
     # side holds it, or a record per clock cycle, in memory.
     assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(tmp_path / "lk.json")]) == 0
@@ -364,7 +366,17 @@ def test_wide_scan_memory_does_not_grow_with_the_transcript(host_file, tmp_path)
                  ["decode-scan", "wide.txt"]):
         code, peak_mb = _child_peak_mb(argv, tmp_path)
         assert code == 0 and peak_mb < 40, (argv[0], code, peak_mb)
-    assert (tmp_path / "wide.txt").stat().st_size > 5_000_000
+    wide = tmp_path / "wide.txt"
+    assert wide.stat().st_size > 5_000_000
+    # The cycle index carries from batch to batch.  From the first record of
+    # the 100th batch on, each index is one too high: every batch is
+    # consecutive in itself, and only the index carried over shows the gap.
+    f = io.StringIO(wide.read_text())
+    batches = list(iter(lambda: f.read(1 << 14) + f.readline(), ""))
+    later = re.sub(r"(?m)^[0-9]+", lambda m: str(int(m[0]) + 1), "".join(batches[100:]))
+    wide.write_text("".join(batches[:100]) + later)
+    assert main(["decode-scan", str(wide)]) == 3
+    assert "cycle indices must be consecutive" in capsys.readouterr().err
 
 
 def test_scan_memory_without_repeated_frames(tmp_path):
@@ -864,6 +876,25 @@ def test_unreadable_input_exits_3_as_a_process(tmp_path):
                                   capture_output=True, text=True, timeout=60)
             assert done.returncode == 3, (name, argv, done.stderr[-300:])
             assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name, text", [
+    ("long.kiss2", ".i " + "1" * 5001 + "\n.o 1\n.r a\n0 a a 1\n"),
+    ("long.kiss2", ".i " + "x" * 5001 + "\n.o 1\n.r a\n0 a a 1\n"),
+    ("t.txt", " ".join(["0"] * 100_000) + "\n0 1 0 0 Shift\n"),
+    ("t.txt", "0 1 7 " + "1" * 4000 + "\n0 1 0 0 Shift\n"),
+    ("t.txt", "3 1 2 5\n" + " ".join(["0"] * 100_000) + "\n"),
+    ("t.txt", "3 1 2 5\n0 1 0 0 " + "Shift" * 20_000 + "\n"),
+], ids=[".i-digits", ".i-letters", "header-fields", "header-width", "record-fields",
+        "record-state"])
+def test_long_offending_text_is_clipped(tmp_path, capsys, name, text):
+    # A message echoes at most 40 characters of what it refuses, the cut marked.
+    path = tmp_path / name
+    path.write_text(text)
+    command = "extract-cg" if name.endswith(".kiss2") else "decode-scan"
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "..." in err and len(err) < 200, err
 
 
 def test_kiss2_dont_care_cap(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Serial test port: permutation scheme, TAP cycle accounting, and
 serial/parallel agreement."""
 
+import io
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -16,6 +18,7 @@ from fsmwm import (
     run_states,
     scan_watermark_test,
 )
+from fsmwm import scanchain
 from fsmwm.scanchain import (
     apply_perm,
     bits_to_int,
@@ -102,6 +105,94 @@ def test_transcript_format_round_trip():
 def test_transcript_rejects_gapped_indices():
     with pytest.raises(FsmwmError):
         decode_transcript(["3 1 2 5\n", "0 1 0 0 Shift\n", "2 0 0 0 Shift\n"])
+
+
+def _outcome(texts):
+    try:
+        return decode_transcript(texts)
+    except FsmwmError as e:
+        return str(e)
+
+
+def _line_mutations(lines, k):
+    """Each single mutation of line k of a written transcript, as a whole
+    text, with a piece of its error message (None: it decodes as written)."""
+    idx, tms, tdi, tdo, st = lines[k].split()
+
+    def at(*fields, end="\n"):
+        return "".join(lines[:k] + [" ".join(fields) + end] + lines[k + 1:])
+    yield "gap", at(str(int(idx) + 1), tms, tdi, tdo, st), "consecutive"
+    yield "zero-padded", at(idx.zfill(7), tms, tdi, tdo, st), None
+    yield "plus-sign", at("+" + idx, tms, tdi, tdo, st), None
+    yield "bit-2", at(idx, tms, tdi, "2", st), "malformed transcript record"
+    yield "unknown-state", at(idx, tms, tdi, tdo, "Capture"), "unknown TAP state"
+    yield "missing-field", at(idx, tms, tdi, tdo), "malformed transcript record"
+    yield "extra-field", at(idx, tms, tdi, tdo, st, "0"), "malformed transcript record"
+    yield "tabs", at("\t".join((idx, tms, tdi, tdo, st))), None
+    yield "crlf", at(idx, tms, tdi, tdo, st, end="\r\n"), None
+    yield "form-feed", at(idx, tms, tdi, tdo, st, end="\f"), None
+    yield "blank-lines", at(idx, tms, tdi, tdo, st, end="\n \n\n"), None
+
+
+def _splits(text, in_frame):
+    """The text in batches of whole lines: a line each, the header and the
+    rest, cut inside the first frame, and 16 kB and the rest of a line."""
+    lines = text.splitlines(keepends=True)
+    f = io.StringIO(text, newline="")
+    return {"line": lines,
+            "header": [lines[0], "".join(lines[1:])],
+            "first-frame": ["".join(lines[:in_frame]), "".join(lines[in_frame:])],
+            "16kB": list(iter(lambda: f.read(1 << 14) + f.readline(), ""))}
+
+
+class _MatchLog:
+    """A pattern that logs the match of each batch it is asked about."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, []
+
+    def fullmatch(self, batch):
+        self.matches.append(m := self.pattern.fullmatch(batch))
+        return m
+
+
+def test_bulk_and_record_checks_agree(monkeypatch):
+    # Whatever the batches, a transcript decodes, or fails with the message,
+    # as the record-by-record check of its whole text does.
+    t = scan_watermark_test(make_chain_host(70), 2, 30, 1, seed=7, steps=60)
+    text = "".join(t)
+    lines = text.splitlines(keepends=True)
+    p = setting_bit_width(t.n_b)
+    assert len(text) > 1 << 15 and p == 118
+    clean = decode_transcript(t)
+    # Line 1 + p + 10 is inside the first frame; the deep one is past 16 kB.
+    cases = [("written", text, None), ("no-final-newline", text[:-1], None),
+             ("all-tabs", text.replace(" ", "\t"), None),
+             ("all-crlf", text.replace("\n", "\r\n"), None)]
+    for k in (5, 1 + p + 10, len(lines) - 40):
+        cases += [(f"{name}@{k}", mutated, error)
+                  for name, mutated, error in _line_mutations(lines, k)]
+    # An impossible setting is reported before a bad record that follows it.
+    ones = "".join(ln.replace(" 0 Shift", " 1 Shift") for ln in lines[1:1 + p])
+    cases.append(("setting-then-bad-record",
+                  lines[0] + ones + "".join(lines[1 + p:-5]) + "x\n", "out of range"))
+
+    spy = _MatchLog(scanchain._WRITTEN)
+    for name, mutated, error in cases:
+        with monkeypatch.context() as m:
+            m.setattr(scanchain, "_WRITTEN", re.compile("(?!)"))
+            want = _outcome([mutated])
+        if error is None:
+            assert want == clean, name
+        else:
+            assert isinstance(want, str) and error in want, (name, want)
+        with monkeypatch.context() as m:
+            m.setattr(scanchain, "_WRITTEN", spy)
+            for how, batches in _splits(mutated, 1 + p + 10).items():
+                spy.matches.clear()
+                assert _outcome(batches) == want, (name, how)
+                if name == "written":           # every batch is checked in bulk
+                    assert spy.matches and all(spy.matches), how
 
 
 def test_cycle_count_formula():
