@@ -11,6 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import CapExceededError, HaltError, SemanticError, SyntaxError_, clip
 
@@ -224,12 +225,15 @@ def _json_list(items: list[str]) -> str:
 def _fsm_text(m: Fsm) -> str:
     """The machine document exactly as ``json.dumps(doc, sort_keys=True,
     indent=2)`` writes it, built from the machine without the document:
-    each symbol is JSON-encoded once and each transition is one f-string."""
+    each symbol is JSON-encoded once and each transition is one f-string.
+    Two stable sorts order the keys by (state, input) without tuple compares."""
     enc = {sym: json.dumps(sym) for sym in (*m.inputs, *m.outputs)}
+    keys = sorted(m.transitions, key=itemgetter(1))
+    keys.sort(key=itemgetter(0))
     transitions = [
         f'{{\n      "from": {src},\n      "in": {enc[sym]},\n'
         f'      "out": {enc[out]},\n      "to": {dst}\n    }}'
-        for (src, sym), (dst, out) in sorted(m.transitions.items())
+        for (src, sym), (dst, out) in zip(keys, map(m.transitions.__getitem__, keys))
     ]
     return (f'{{\n  "inputs": {_json_list([enc[s] for s in m.inputs])},\n'
             f'  "outputs": {_json_list([enc[s] for s in m.outputs])},\n'

@@ -47,23 +47,30 @@ def longest_simple_path(g: ConnGraph) -> Path:
     moves = {v: [(None, w, None) for w in ws] for v, ws in succ.items()}
     # no simple path is longer than the set reachable from the root
     n = len({g.root} | {w for *_, w, _ in _reachable(g.root, moves.__getitem__)})
-    best: list[int] = [g.root]
     stack = [g.root]
+    # The record is stack[:shared] + tail[::-1]: what it shares with the
+    # stack, then the vertices popped from it.  So no step copies it, and
+    # stack[shared] is where an equal-length stack first differs from it.
+    shared, tail = 1, []
     on_path = {g.root}
     pending = [iter(succ[g.root])]
     for _ in range(PATH_SEARCH_BUDGET + 1):
-        if not pending or len(best) >= n:
-            return Path(tuple(best))
+        if not pending or shared + len(tail) >= n:
+            return Path((*stack[:shared], *reversed(tail)))
         w = next(pending[-1], None)
         if w is None:
             pending.pop()
+            if shared == len(stack):
+                tail.append(stack[-1])
+                shared -= 1
             on_path.discard(stack.pop())
         elif w not in on_path:
             stack.append(w)
             on_path.add(w)
             pending.append(iter(succ[w]))
-            if len(stack) > len(best) or (len(stack) == len(best) and stack > best):
-                best = list(stack)
+            size = shared + len(tail)
+            if len(stack) > size or (len(stack) == size and stack[shared] > tail[-1]):
+                shared, tail = len(stack), []
     raise CapExceededError(
         f"longest simple path search passed its budget of {PATH_SEARCH_BUDGET} steps"
     )

@@ -293,9 +293,15 @@ def test_attack_command(host_file, tmp_path, capsys):
     # The last record is cycle 62: 19 preamble cycles and 4 frames of 11.
     (-1, 0, "61"),
     (-1, 0, "63"),
+    # Line k holds cycle k - 1; each index is one that scan-test never writes.
+    (8, 0, "007"),
+    (8, 0, "+7"),
+    (11, 0, "1_0"),
+    (12, 0, "١١"),
 ], ids=["0", "1", "zero-width", "negative-width", "width-not-chi-plus-omega",
         "tdo-2", "unknown-tap-state", "4-fields", "6-fields", "tms-2", "tdi-x",
-        "repeated-index", "skipped-index"])
+        "repeated-index", "skipped-index", "zero-padded-index", "plus-sign-index",
+        "underscore-index", "arabic-indic-index"])
 def test_decode_scan_malformed_transcript_exits_3(host_file, tmp_path, capsys,
                                                   bad_line, field, text):
     lk = tmp_path / "lk.json"

@@ -118,3 +118,14 @@ def test_readme_commands_byte_identical(tmp_path, monkeypatch, capsys):
     for path in sorted(tmp_path.iterdir()):
         got[path.name] = _sha(path.read_bytes())
     assert got == GOLDEN
+
+
+def test_matrix_bundle_at_m40_byte_identical(tmp_path, monkeypatch):
+    # Past ten states, so ids and symbols "10" and up sort among the rest.
+    monkeypatch.chdir(tmp_path)
+    assert main(["emit-package", HOST, "--mode", "matrix", "-m", "40",
+                 "--out-package", "p.json", "--out-secret", "s.json"]) == 0
+    assert {name: _sha((tmp_path / name).read_bytes()) for name in ("p.json", "s.json")} == {
+        "p.json": "3f3258e6a0b0238fe8c5a6d25db31326ef49579e7d1287e3a952ee3118a584d7",
+        "s.json": "cc6e2f3eb9ff4509dffcdcba5238bc6f2644d351d305a217156db82e1606ff37",
+    }

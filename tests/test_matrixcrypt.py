@@ -134,6 +134,29 @@ def test_watermark_cascade_reproduces_reduction(host8, rng):
         assert run(cascade, schedule) == run(redux, schedule)
 
 
+def _decoder_cells(key, reduced):
+    """The decoder's step map built one cell at a time, row by row."""
+    trace = trace_pair(reduced, key)
+    chain = [u for u, _ in trace]
+    transitions = {}
+    for t, u in enumerate(chain):
+        for _, v in trace:
+            nxt = chain[t + 1] if t + 1 < len(chain) and v == trace[t + 1][1] else u
+            transitions[u, str(v)] = (nxt, str(nxt))
+    return transitions
+
+
+def test_decoder_matches_cell_by_cell_oracle(host8):
+    g = connectivity_graph(host8)
+    for m in range(1, 41):
+        reduced = lpr(g, m)
+        for seed in (0, 1, 2718, m):
+            key = random_perm_key(m, seed)
+            want = _decoder_cells(key, reduced)
+            got = build_decryption_machine(key, reduced).transitions
+            assert got == want and list(got) == list(want), (m, seed)
+
+
 def test_wrong_key_cascade_diverges(host8):
     g = connectivity_graph(host8)
     reduced = lpr(g, 6)

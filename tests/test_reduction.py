@@ -95,6 +95,23 @@ def test_longest_path_on_long_chain():
     assert longest_simple_path(g).vertices == tuple(range(n))
 
 
+def test_longest_path_is_linear_on_long_paths():
+    # A 2^16-vertex chain, and a 2^15-vertex spine with a leaf off each
+    # vertex, which the search tries first: a search that copied its record
+    # whenever it grew took over 10 s on the chain.
+    from fsmwm import ConnGraph
+    n = 1 << 16
+    chain = ConnGraph(frozenset(range(n)), frozenset((v, v + 1) for v in range(n - 1)), 0)
+    s = n // 2
+    legs = {(v, s + v) for v in range(s)}
+    spine = ConnGraph(frozenset(range(2 * s)),
+                      frozenset({(v, v + 1) for v in range(s - 1)} | legs), 0)
+    t0 = time.perf_counter()
+    assert longest_simple_path(chain).vertices == tuple(range(n))
+    assert longest_simple_path(spine).vertices == (*range(s), 2 * s - 1)
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_repeat_requires_positive_count():
     with pytest.raises(FsmwmError):
         repeat_path(Path((1, 2)), 0)

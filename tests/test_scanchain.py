@@ -114,6 +114,9 @@ def _outcome(texts):
         return str(e)
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
 def _line_mutations(lines, k):
     """Each single mutation of line k of a written transcript, as a whole
     text, with a piece of its error message (None: it decodes as written)."""
@@ -122,8 +125,11 @@ def _line_mutations(lines, k):
     def at(*fields, end="\n"):
         return "".join(lines[:k] + [" ".join(fields) + end] + lines[k + 1:])
     yield "gap", at(str(int(idx) + 1), tms, tdi, tdo, st), "consecutive"
-    yield "zero-padded", at(idx.zfill(7), tms, tdi, tdo, st), None
-    yield "plus-sign", at("+" + idx, tms, tdi, tdo, st), None
+    # An index is read only in the form scan-test writes it.
+    yield "zero-padded", at(idx.zfill(7), tms, tdi, tdo, st), "consecutive"
+    yield "plus-sign", at("+" + idx, tms, tdi, tdo, st), "consecutive"
+    yield "underscore", at("0_" + idx, tms, tdi, tdo, st), "consecutive"
+    yield "arabic-indic", at(idx.translate(_ARABIC_INDIC), tms, tdi, tdo, st), "consecutive"
     yield "bit-2", at(idx, tms, tdi, "2", st), "malformed transcript record"
     yield "unknown-state", at(idx, tms, tdi, tdo, "Capture"), "unknown TAP state"
     yield "missing-field", at(idx, tms, tdi, tdo), "malformed transcript record"
