@@ -179,15 +179,15 @@ def _load_doc(text: str, kind: str | None = None) -> dict:
 
 
 def _dump_doc(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, where a
-    top-level ``Fsm`` value stands for its machine document."""
-    items = []
-    for key in sorted(doc):
-        value = doc[key]
-        text = _fsm_text(value) if isinstance(value, Fsm) else \
-            json.dumps(value, sort_keys=True, indent=2)
-        # A JSON string holds no raw newline, so this only indents lines.
-        items.append(f"  {json.dumps(key)}: " + text.replace("\n", "\n  "))
+    """A bundle document plus a newline, in the layout of every document
+    the library writes: keys sorted, a container that holds only scalars on
+    one line as ``json.dumps(value, sort_keys=True)`` writes it, and any
+    other container one member per line as ``indent=2`` writes it.  A
+    top-level ``Fsm`` value stands for its machine document, written at
+    its depth; every other value is a scalar or a container of scalars."""
+    items = [f'  {json.dumps(key)}: ' + (
+        _fsm_text(value, "  ") if isinstance(value, Fsm) else json.dumps(value, sort_keys=True))
+        for key, value in sorted(doc.items())]
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
@@ -217,29 +217,28 @@ def _symbols(doc: dict, key: str) -> tuple[str, ...]:
     return tuple(syms)
 
 
-def _json_list(items: list[str]) -> str:
-    """A list of JSON texts as one ``indent=2`` member of a top-level object."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _json_list(items: list[str], pad: str = "") -> str:
+    """One-line JSON texts, one per line, as a member of an object at ``pad``."""
+    return f"[\n{pad}    " + f",\n{pad}    ".join(items) + f"\n{pad}  ]" if items else "[]"
 
 
-def _fsm_text(m: Fsm) -> str:
-    """The machine document exactly as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` writes it, built from the machine without the document:
-    each symbol is JSON-encoded once and each transition is one f-string.
-    Two stable sorts order the keys by (state, input) without tuple compares."""
+def _fsm_text(m: Fsm, pad: str = "") -> str:
+    """The machine document in the library's layout (see ``_dump_doc``), its
+    lines after the first prefixed with ``pad``: one line per alphabet, for
+    the states and per transition (one f-string over symbols encoded once).
+    Two stable sorts order keys by (state, input) without tuple compares."""
     enc = {sym: json.dumps(sym) for sym in (*m.inputs, *m.outputs)}
     keys = sorted(m.transitions, key=itemgetter(1))
     keys.sort(key=itemgetter(0))
     transitions = [
-        f'{{\n      "from": {src},\n      "in": {enc[sym]},\n'
-        f'      "out": {enc[out]},\n      "to": {dst}\n    }}'
+        f'{{"from": {src}, "in": {enc[sym]}, "out": {enc[out]}, "to": {dst}}}'
         for (src, sym), (dst, out) in zip(keys, map(m.transitions.__getitem__, keys))
     ]
-    return (f'{{\n  "inputs": {_json_list([enc[s] for s in m.inputs])},\n'
-            f'  "outputs": {_json_list([enc[s] for s in m.outputs])},\n'
-            f'  "reset": {m.reset},\n'
-            f'  "states": {_json_list([str(s) for s in sorted(m.states)])},\n'
-            f'  "transitions": {_json_list(transitions)}\n}}')
+    return (f'{{\n{pad}  "inputs": {json.dumps(m.inputs)},\n'
+            f'{pad}  "outputs": {json.dumps(m.outputs)},\n'
+            f'{pad}  "reset": {m.reset},\n'
+            f'{pad}  "states": {json.dumps(sorted(m.states))},\n'
+            f'{pad}  "transitions": {_json_list(transitions, pad)}\n{pad}}}')
 
 
 def fsm_from_doc(doc: dict) -> Fsm:
@@ -294,10 +293,10 @@ def parse_graph(text: str) -> ConnGraph:
 
 
 def format_graph(g: ConnGraph) -> str:
-    """Byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``, built directly."""
-    edges = [f"[\n      {a},\n      {b}\n    ]" for a, b in sorted(g.edges)]
+    """The graph document in the library's layout (``_dump_doc``): one edge per line."""
+    edges = [f"[{a}, {b}]" for a, b in sorted(g.edges)]
     return (f'{{\n  "edges": {_json_list(edges)},\n  "root": {g.root},\n'
-            f'  "vertices": {_json_list([str(v) for v in sorted(g.vertices)])}\n}}\n')
+            f'  "vertices": {json.dumps(sorted(g.vertices))}\n}}\n')
 
 
 def parse_kiss2(text: str) -> Fsm:

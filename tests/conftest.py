@@ -82,8 +82,9 @@ def random_machine(rng: random.Random, n_states: int, n_inputs: int,
 
 
 def oracle_doc(m: Fsm) -> dict:
-    """The machine document as a dict; ``json.dumps(..., sort_keys=True,
-    indent=2)`` of it is the oracle for the library's direct writer."""
+    """The machine document as a dict, built independently of the
+    library's direct writer; the interchange tests lay it out with their
+    own reference of the layout rule."""
     return {
         "states": sorted(m.states),
         "inputs": list(m.inputs),

@@ -5,7 +5,9 @@ recorded before the interchange and graph layers were refactored; those
 of the k-branch reduction and everything made from it (lk.json, the
 fixed and optimal bundles, decompose, verify, attack and the serial
 transcript) were re-recorded when its states were first numbered from
-the host's sized path."""
+the host's sized path.  Every JSON file's digest was re-recorded when the
+documents took their one-record-per-line layout; each new file decodes
+to the same value as before."""
 
 import hashlib
 from pathlib import Path
@@ -67,41 +69,41 @@ GOLDEN = {
     "13-emit-package.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "back.json":
-        "7e3a1ef9cc9a105bb0ed3908072ec76f3c0c6c0e59a487aede5c55f047647679",
+        "af7fdc1b4e1f144482dd8e8a9965b52a55da15110dd27609e27410a54cc29a76",
     "cg.json":
-        "87ffa483ac4375f89f5f1a7a45410659c5b552b24d4b5c2aaaf67211d226a542",
+        "60515d8d7a038d893d45250c1de5e954ab901b536f2b527a2ac892ff706f458f",
     "dec.json":
-        "d1ca564d2fbe3417a06ed5b9cbbe2d5126bd1c9a403dc09b7a8b108567df9392",
+        "30153f35421ca188b896e5c2e108f850cf7dad2d8bbefb071ec3a47bfdcc5a67",
     "front.json":
-        "e01f1792e496d8fad372d1e3e19bdcd038da3ad519e96caf3ec75050a7ee1735",
+        "4a58dc6ab5cba09b81a09d855299a7aedefcc3416e7f359b73f1ac4a7b44a23a",
     "key.txt":
         "a5efd18d69cc7abfbab7014fb704318b5e672366226f1c666293c1b13df87bc3",
     "lk.json":
-        "719b04c38c1a2a021ffea11eab28993dd9fa8071dba72d4e333fa381e7a19617",
+        "0334f84eae9870af60388c37fd6cdfa6740471e26888259e22b8732747cffaa5",
     "mpackage.json":
-        "b381b9d912b999f72d34c0b3a308eb3144395753365bdda5b94f738d9a12e6a6",
+        "8f6547da7c29490bcc5a4a7a149ec83935368900ebda1181ab026b6f829df7f5",
     "msecret.json":
-        "445fabc6f1899cde91ce8270557a17cbc525899d398b7915db2771657191539f",
+        "0d7cf48e0123aed723aae72a99bcc993dd19b5f47c1105447310ea68693f09d0",
     "opackage.json":
-        "307986be36da1972d4646dcddabaced1bb150887d5d0aa2b3c11d2fb912db1de",
+        "1c5473852c1f6d8a90af4a1c3b52950a7a278681e14814f6dc44724a0c63c239",
     "osecret.json":
-        "d2e5b3939d7aa7bec583d7f9c01a644ead3025c36fb026e21d272eb0ebbdac56",
+        "88d52cec0981ce4ab49b17f2d184422f27ae631203f0bb6ac4cc5ce6eaf2e6bb",
     "package.json":
-        "e51c1ce10fefbf267b6615d65184655df9a6d6f624b776d29fc56f1fe2894e75",
+        "e6357f672a201d74f71b8e2bb195d166c028a9fe50169db4cca11cd7fe052b5d",
     "pi_d.txt":
         "b120e9bd9ce5dc734254de917dd39599690f16a7ffc7a0cf5075eb226e0acf43",
     "pi_i.txt":
         "51e0992701a2e7a0cb1c399f75eb8aeee38f691feb6d80d02de01b347cfe7c4a",
     "rebuilt.json":
-        "00d1ec553c6da7628307b4d47501b681dd36cc22986f815b29371df841724d1e",
+        "ecb581b78fec7e6a0174bd9e7c3bd29b9d2a8345baaae1f8e15a3a7b2b61e737",
     "red.json":
-        "8646c31f5c415cbe24fcedbdce61110c5c0730f5c6f46e02a13a78c5cba5d7e8",
+        "9ae0d021213103acd9a7d195a93e15a5da68599cded897c7f44bf4384944385b",
     "secret.json":
-        "d761a3de403f1a7de556c9f9bfec4b9c44df16b7eaa380e4e8d0abe292e91530",
+        "30d08d6afee83bfacdb61ad4dffd0d2b3cfbe6b57403a48aa01f34b1fb230f01",
     "t.txt":
         "c7c3439a178d393e71791833a9d9b208ed3f879381e3e266a5d6b2bf7712ccd4",
     "wm.json":
-        "f4417a4ffbb6a26a91577881d7759fb3275f40865d246dbd7d11704eec8079bf",
+        "d699be12254b32076f7d7d6f1caa238b753bc46110fe4f0395758afb58a46b49",
 }
 
 
@@ -126,6 +128,6 @@ def test_matrix_bundle_at_m40_byte_identical(tmp_path, monkeypatch):
     assert main(["emit-package", HOST, "--mode", "matrix", "-m", "40",
                  "--out-package", "p.json", "--out-secret", "s.json"]) == 0
     assert {name: _sha((tmp_path / name).read_bytes()) for name in ("p.json", "s.json")} == {
-        "p.json": "3f3258e6a0b0238fe8c5a6d25db31326ef49579e7d1287e3a952ee3118a584d7",
-        "s.json": "cc6e2f3eb9ff4509dffcdcba5238bc6f2644d351d305a217156db82e1606ff37",
+        "p.json": "e3fd3abe066063d4ac02c1b3d5cf7164e11d147f55ab82921ae8a45235d6a373",
+        "s.json": "bec9074c291fa655464e2e2af0aeb1830f4a804bcab076af7cc666d205ae38ab",
     }

@@ -181,11 +181,13 @@ def test_cascade_alphabet_mismatch():
 # for three host8 bundles, recorded before the cascade moved onto the
 # shared breadth-first walk: product states must keep their numbering.
 # The two cascade digests were re-recorded when the k-branch reduction's
-# states were first numbered from the host's sized path.
+# states were first numbered from the host's sized path, and all three
+# when machine documents took their one-record-per-line layout (the
+# machines themselves did not change).
 CASCADE_GOLDEN = {
-    "fixed-4-3": "db797e0e221678f3e3ae4d82bf9b4a860dd0819dd7ce58b1a20ef46bd5799ff8",
-    "optimal-2-2": "72d8d4843873d034fb0080c234e19dd028d7c6c5d70d0aee9e4b8ea69bd4a162",
-    "matrix-6": "dec9d0effb9a305dc088102d190585b03ebdb64fd86405b3aad77fc727607c79",
+    "fixed-4-3": "3fdcb43aac3bfcc6ba07d958899ae35de11fca6bbb96484db4895a95ed940279",
+    "optimal-2-2": "5af53fd0cd076cb0964e8a1e4c56b09b545b776b76eed1be0769c9fdd7b4f7f4",
+    "matrix-6": "ddb37dce0548eddb3fa4900073248259c69aa73e5ed92f0d173accd7f9e1fb85",
 }
 
 
