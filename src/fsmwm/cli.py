@@ -24,35 +24,6 @@ from .machine import (
     parse_kiss2,
     standard_cg_machine,
 )
-from .matrixcrypt import (
-    build_decryption_machine,
-    build_watermark_machine,
-    format_key,
-    parse_key,
-    random_perm_key,
-)
-from .decompose import (
-    build_dependent,
-    build_independent,
-    fixed_partitions_lprk,
-    format_partition,
-    is_input_preserving,
-    is_orthogonal,
-    minimal_decomposition,
-    parse_partition,
-)
-from .pipeline import build_decomp_bundle, build_matrix_bundle
-from .reduction import LprkSpec, find_branch_width, lpr, lpr_k
-from .scanchain import decode_transcript, scan_watermark_test
-from .verify import (
-    FsmOracle,
-    format_package,
-    format_secret,
-    informed_attack,
-    parse_package,
-    parse_secret,
-    watermark_test,
-)
 
 DEFAULT_KEY_SEED = 2718
 DEFAULT_SETTING_SEED = 31415
@@ -223,21 +194,27 @@ def _parse_args(argv):
 
 
 def _run(args) -> int:
+    """Run one subcommand.  Each branch imports what it needs beyond
+    ``errors`` and ``machine`` when it runs, so a command loads only the
+    modules it runs."""
     if args.cmd == "extract-cg":
         m = _load(args.machine)
         _write(args.out, format_graph(connectivity_graph(m)))
     elif args.cmd == "lpr":
+        from .reduction import lpr
         g = _load(args.source, graph=True)
         reduced = lpr(g, args.size)
         out = format_fsm(standard_cg_machine(reduced)) if args.as_machine \
             else format_graph(reduced)
         _write(args.out, out)
     elif args.cmd == "lprk":
+        from .reduction import LprkSpec, find_branch_width, lpr_k
         g = _load(args.source, graph=True)
         n, k = args.rows, args.branches
         m = lpr_k(g, LprkSpec(n=n, k=k, z=find_branch_width(n, k)))
         _write(args.out, format_fsm(m))
     elif args.cmd == "encrypt-matrix":
+        from .matrixcrypt import build_watermark_machine, format_key, parse_key, random_perm_key
         g = parse_graph(_read(args.graph))
         key = parse_key(_read(args.key)) if args.key else \
             random_perm_key(len(g.vertices), args.seed)
@@ -245,10 +222,13 @@ def _run(args) -> int:
         if args.out_key:
             _write(args.out_key, format_key(key))
     elif args.cmd == "build-decrypt":
+        from .matrixcrypt import build_decryption_machine, parse_key
         g = parse_graph(_read(args.graph))
         key = parse_key(_read(args.key))
         _write(args.out, format_fsm(build_decryption_machine(key, g)))
     elif args.cmd == "decompose":
+        from .decompose import (build_dependent, build_independent, fixed_partitions_lprk,
+                                format_partition, minimal_decomposition)
         m = _load(args.machine)
         if args.mode == "fixed":
             if args.rows is None or args.branches is None:
@@ -261,10 +241,13 @@ def _run(args) -> int:
         _write(args.out_front, format_fsm(build_independent(m, pair.pi_i)))
         _write(args.out_back, format_fsm(build_dependent(m, pair)))
     elif args.cmd == "emit-package":
+        from .verify import format_package, format_secret
         host = _load(args.host)
         if args.mode == "matrix":
             if args.size is None:
                 raise FsmwmError("matrix mode needs --size")
+            from .matrixcrypt import format_key
+            from .pipeline import build_matrix_bundle
             package, secret, key = build_matrix_bundle(
                 host, args.size, args.key_seed, omega=args.omega)
             if args.out_key:
@@ -272,34 +255,40 @@ def _run(args) -> int:
         else:
             if args.rows is None or args.branches is None:
                 raise FsmwmError("decomposition modes need --rows and --branches")
+            from .pipeline import build_decomp_bundle
             package, secret = build_decomp_bundle(
                 host, args.rows, args.branches, mode=args.mode,
                 cap=args.cap, omega=args.omega)
         _write(args.out_package, format_package(package))
         _write(args.out_secret, format_secret(secret))
     elif args.cmd == "verify":
+        from .verify import parse_package, parse_secret, watermark_test
         package = parse_package(_read(args.package))
         secret = parse_secret(_read(args.secret))
         verdict = watermark_test(package, secret, args.branch, args.length)
         sys.stdout.write(verdict.report())
         return 0 if verdict.passed else 1
     elif args.cmd == "scan-test":
+        from .scanchain import scan_watermark_test
         m = _load(args.machine)
         t = scan_watermark_test(m, args.chi, args.omega, args.branch,
                                 args.seed, args.steps, setting=args.setting)
         with _open(args.out, "w") as f:
             f.writelines(t)                     # clocked and written a frame at a time
     elif args.cmd == "decode-scan":
+        from .scanchain import decode_transcript
         with _open(args.transcript) as f:       # whole lines, about 16 kB at a time
             setting, payload = decode_transcript(iter(lambda: f.read(1 << 14) + f.readline(), ""))
         sys.stdout.write(f"setting {setting}\n" + "".join(f"{s} {v}\n" for s, v in payload))
     elif args.cmd == "attack":
+        from .verify import FsmOracle, informed_attack
         m = _load(args.machine)
         oracle = FsmOracle(m, args.chi)
         rebuilt = informed_attack(oracle, args.chi)
         _write(args.out, format_fsm(rebuilt))
         print(f"resets {oracle.resets} steps {oracle.steps}", file=sys.stderr)
     elif args.cmd == "validate-partitions":
+        from .decompose import is_input_preserving, is_orthogonal, parse_partition
         m = _load(args.machine)
         pi_i = parse_partition(_read(args.pi_i))
         pi_d = parse_partition(_read(args.pi_d))

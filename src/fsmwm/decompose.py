@@ -370,10 +370,14 @@ def parse_partition(text: str) -> Partition:
         line = line.strip()
         if not line:
             continue
+        tokens = [tok.strip() for tok in line.split(",")]
         try:
-            blocks.append({int(tok) for tok in line.split(",")})
+            block = list(map(int, tokens))
         except ValueError as e:
             raise PartitionError(f"malformed partition line {line!r}") from e
+        if list(map(str, block)) != tokens:     # as written: no 02, +2, 0_0 or ٢
+            raise PartitionError(f"malformed partition line {line!r}")
+        blocks.append(set(block))
     if not blocks:
         raise PartitionError("empty partition file")
     return Partition.of(blocks)

@@ -165,8 +165,12 @@ def format_key(key: PermKey) -> str:
 
 
 def parse_key(text: str) -> PermKey:
+    tokens = text.split()
     try:
-        image = tuple(int(tok) for tok in text.split())
+        image = tuple(map(int, tokens))
+        if list(map(str, image)) != tokens:     # as format_key writes it: no 02, +2, 0_0 or ٢
+            tok = next(t for t, i in zip(tokens, image) if str(i) != t)
+            raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
     except ValueError as e:
         raise FsmwmError(f"malformed key file: {e}") from e
     if not image:

@@ -1,22 +1,12 @@
 """End-to-end assembly: from a host machine to a distributable package
-and the matching verifier secret, in either concealment mode."""
+and the matching verifier secret, in either concealment mode.  Each
+mode imports its concealment module when it runs: a matrix bundle never
+loads ``decompose``, a cascade bundle never loads ``matrixcrypt``."""
 
 from __future__ import annotations
 
 from .errors import CapExceededError, FsmwmError
 from .machine import Fsm, connectivity_graph, standard_cg_machine
-from .matrixcrypt import (
-    MAX_DECODER_STATES,
-    build_decryption_machine,
-    build_watermark_machine,
-    random_perm_key,
-)
-from .decompose import (
-    build_dependent,
-    build_independent,
-    fixed_partitions_lprk,
-    minimal_decomposition,
-)
 from .reduction import (
     LprkSpec,
     branch_input_bits,
@@ -47,6 +37,8 @@ def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
                         omega: int | None = None):
     """Conceal a length-m linear reduction of the host behind a random
     permutation key.  Returns (package, secret, key)."""
+    from .matrixcrypt import (MAX_DECODER_STATES, build_decryption_machine,
+                              build_watermark_machine, random_perm_key)
     if m > MAX_DECODER_STATES:
         raise CapExceededError(f"a {m}-state decoder passes the cap of {MAX_DECODER_STATES}")
     g = connectivity_graph(host)
@@ -70,6 +62,8 @@ def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
     cap and step budget).
     Returns (package, secret).
     """
+    from .decompose import (build_dependent, build_independent, fixed_partitions_lprk,
+                            minimal_decomposition)
     if mode not in ("fixed", "optimal"):
         raise FsmwmError(f"unknown decomposition mode {mode!r}")
     g = connectivity_graph(host)

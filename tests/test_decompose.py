@@ -362,3 +362,9 @@ def test_partition_format_round_trip():
         parse_partition("1,x\n")
     with pytest.raises(PartitionError):
         parse_partition("\n")
+    # Spaces around a token are stripped; the token itself must read back
+    # as str writes it, so two different files never give one partition.
+    assert parse_partition(" 0, 1 \n2\n") == Partition.of([{0, 1}, {2}])
+    for line in ("+2,1", "0_0,1", "02,1", "\u0662,1"):
+        with pytest.raises(PartitionError, match="malformed partition line"):
+            parse_partition(f"{line}\n0\n")

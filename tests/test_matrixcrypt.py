@@ -1,6 +1,7 @@
 """Permutation-key concealment, traces and the decryption cascade."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from fsmwm import (
     ConnGraph,
     DimensionError,
     Fsm,
+    FsmwmError,
     PermKey,
     build_decomp_bundle,
     build_decryption_machine,
@@ -230,3 +232,9 @@ def test_key_format_round_trip(rng):
     key = random_perm_key(9, 42)
     assert parse_key(format_key(key)) == key
     assert format_key(key) == "0 7 3 8 6 4 1 5 2\n" or len(format_key(key).split()) == 9
+    # int() reads each of these as 2 or 0; a key file must be as format_key
+    # writes it, so two different files never give one key.
+    for token in ("+2", "0_0", "02", "\u0662"):
+        message = f"malformed key file: invalid literal for int() with base 10: {token!r}"
+        with pytest.raises(FsmwmError, match=re.escape(message)):
+            parse_key(f"1 0 {token}\n")
