@@ -5,7 +5,6 @@ decomposition, and construction of the two cascade machines."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from operator import indexOf
 
@@ -15,12 +14,11 @@ from .errors import (
     NoNontrivialDecompositionError,
     PartitionError,
 )
-from .machine import Fsm
+from .machine import Fsm, _Record
 from .reduction import branch_input_bits
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Block-assignment array: ``assign[i]`` is the block of ``states[i]``.
     States ascend and blocks are numbered in order of their minimum
     element (a restricted-growth string), so each partition of a state
@@ -71,8 +69,7 @@ class Partition:
         return max(self.assign, default=-1) + 1
 
 
-@dataclass(frozen=True)
-class PartitionPair:
+class PartitionPair(_Record):
     pi_i: Partition
     pi_d: Partition
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -19,8 +18,65 @@ KISS2_MAX_INPUT_BITS = 16   # .i above this would build over 65,536 input symbol
 KISS2_MAX_TRANSITIONS = 1 << 20     # steps the don't-care input bits may expand to
 
 
-@dataclass(frozen=True)
-class Fsm:
+class _Record:
+    """Base of the value types.  Fields are a class's annotations, in order,
+    and defaults its class attributes.  A value is built by position or
+    keyword and checked by ``__post_init__``; it compares, hashes and prints
+    by its fields alone, and is immutable, or mutable and unhashable in a
+    class declared ``frozen=False``.  The methods are shared, not generated
+    per class, which costs each command milliseconds at start-up."""
+
+    _fields, _names, _defaults = (), frozenset(), {}
+
+    def __init_subclass__(cls, frozen: bool = True):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if not kwargs and len(args) == len(names):      # the two usual calls first
+            self.__dict__.update(zip(names, args))
+        elif not args and kwargs.keys() == self._names:
+            self.__dict__.update(kwargs)
+        else:
+            given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or given.keys() != self._names
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            self.__dict__.update(given)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("%s=%r".__mod__, zip(self._fields, self._values())))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):        # also serves as __delattr__
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked as a new value is."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class Fsm(_Record):
     """Deterministic Mealy machine over string symbols.
 
     ``transitions`` is the one step map: (state, input) -> (next state,
@@ -31,7 +87,7 @@ class Fsm:
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     reset: int
-    transitions: dict[tuple[int, str], tuple[int, str]] = field(hash=False)
+    transitions: dict[tuple[int, str], tuple[int, str]]
 
     def __post_init__(self):
         if self.reset not in self.states:
@@ -45,6 +101,9 @@ class Fsm:
             if out not in outputs:
                 raise SemanticError(f"unknown output symbol {out!r} at {(src, sym)}")
 
+    def __hash__(self):                 # the step map, a dict, is compared but not hashed
+        return hash((self.states, self.inputs, self.outputs, self.reset))
+
     def moves(self, state: int):
         """(input, next state, output) per defined input, in alphabet order."""
         for sym in self.inputs:
@@ -53,8 +112,7 @@ class Fsm:
                 yield sym, *move
 
 
-@dataclass(frozen=True)
-class ConnGraph:
+class ConnGraph(_Record):
     """Rooted digraph: the host machine's topology with I/O erased."""
 
     vertices: frozenset[int]
@@ -70,7 +128,7 @@ class ConnGraph:
 
     @cached_property
     def _succ(self) -> dict[int, tuple[int, ...]]:
-        # Built on first use; a cached_property is not a dataclass field,
+        # Built on first use; a cached_property is not a declared field,
         # so it stays out of eq, hash and repr.
         succ: dict[int, list[int]] = {}
         for u, w in sorted(self.edges):

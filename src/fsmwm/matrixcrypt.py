@@ -4,11 +4,10 @@ trace-built decryption machine."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import AlphabetMismatchError, CapExceededError, DimensionError, FsmwmError
-from .machine import ConnGraph, Fsm, _reachable, standard_cg_machine
+from .machine import ConnGraph, Fsm, _reachable, _Record, standard_cg_machine
 from .reduction import chain_of
 
 # Most states a decoder has: its table holds m * m steps (interim bound).
@@ -17,8 +16,7 @@ from .reduction import chain_of
 MAX_DECODER_STATES = 512
 
 
-@dataclass(frozen=True)
-class PermKey:
+class PermKey(_Record):
     """Permutation over matrix indices.  Its matrix K has a one at
     (i, image[i]) in each row i, so K is orthogonal over booleans and
     right-multiplying an adjacency matrix by K renames edge heads."""

@@ -5,14 +5,12 @@ multi-branch extension with add-shift renumbering."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapExceededError, FsmwmError, HashCollisionError
-from .machine import ConnGraph, Fsm, _reachable
+from .machine import ConnGraph, Fsm, _reachable, _Record
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """Ordered vertex string."""
 
     vertices: tuple[int, ...]
@@ -194,8 +192,7 @@ def add_shift_hash(x: int, r: int, c: int, z: int) -> int:
     return (rotated + r) & mask
 
 
-@dataclass(frozen=True)
-class LprkSpec:
+class LprkSpec(_Record):
     """Shape of the multi-branch reduction: n rows per branch, k branches,
     states renumbered by the add-shift hash within z bits."""
 

@@ -6,16 +6,14 @@ permutation with it; the port shifts whole frames at a time."""
 from __future__ import annotations
 
 import math
-import random
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain, compress
 from operator import itemgetter
 
 from .errors import CapExceededError, FsmwmError, clip
-from .machine import Fsm
+from .machine import Fsm, _Record
 
 LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
 # Widest scan register, chi + omega bits: a setting of 1024! has 2,640
@@ -62,9 +60,10 @@ def invert_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
     return out
 
 
-def draw_setting(rng: random.Random, n: int) -> int:
-    """Uniform setting in [1, n!] via uniform factorial-base digits: stands
-    in for the hardware noise source; seeded, so reproducible."""
+def draw_setting(rng, n: int) -> int:
+    """Uniform setting in [1, n!] via uniform factorial-base digits drawn
+    from ``rng``, a ``random.Random``: stands in for the hardware noise
+    source; seeded, so reproducible."""
     f = math.factorial(n)                   # digit m - 1 weighs (m - 1)!, m = n..1
     return 1 + sum(rng.randint(0, m - 1) * (f := f // m) for m in range(n, 0, -1))
 
@@ -89,8 +88,7 @@ def bits_to_int(bits) -> int:
 # TAP session
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Transcript:
+class Transcript(_Record, frozen=False):
     """A session's serial log: the header and, per window of cycles, a line
     template (a ``%d`` per cycle index) and cycle count.  It iterates as text
     a window at a time; ``records`` parses the cycles back only when asked."""
@@ -99,7 +97,11 @@ class Transcript:
     chi: int
     omega: int
     seed: int
-    windows: Iterable[tuple[str, int]] = field(default_factory=list)
+    windows: Iterable[tuple[str, int]] = None       # a new list when not given
+
+    def __post_init__(self):
+        if self.windows is None:
+            self.windows = []
 
     def __iter__(self):
         yield f"{self.n_b} {self.chi} {self.omega} {self.seed}\n"
@@ -202,8 +204,10 @@ class TapSession:
             raise FsmwmError(f"omega {omega} too narrow; need at least {need} bits")
         self.machine, self.chi, self.omega, self.seed = machine, chi, omega, seed
         self.n_b = chi + omega
-        self.setting = (setting if setting is not None
-                        else draw_setting(random.Random(seed), self.n_b))
+        if setting is None:                 # only a drawn setting needs the generator
+            import random
+            setting = draw_setting(random.Random(seed), self.n_b)
+        self.setting = setting
         self.perm = permutation_by_index(self.n_b, self.setting)
         self.tap_state, self.mstate, self.last_input_bits = LATCH, machine.reset, [0] * chi
         self.transcript = Transcript(self.n_b, chi, omega, seed)
@@ -250,8 +254,7 @@ class TapSession:
         return self._clock(tms, [tdi])[0]
 
 
-@dataclass
-class _Frames:
+class _Frames(_Record, frozen=False):
     """One frame per input value, clocked afresh on each pass from ``opening()``:
     Shift the register out as the permuted next frame feeds in, Assert, Latch.
     From Latch, a later frame depends only on its value and the latched frame."""
@@ -331,4 +334,4 @@ def scan_watermark_test(machine: Fsm, chi: int, omega: int, branch: int,
         raise FsmwmError(f"step count {steps} must be >= 1")
     if steps > MAX_SCAN_STEPS:
         raise CapExceededError(f"step count {steps} is past the cap of {MAX_SCAN_STEPS}")
-    return replace(t, windows=_Frames(opening, [branch] + [0] * steps))
+    return t.replace(windows=_Frames(opening, [branch] + [0] * steps))

@@ -4,9 +4,6 @@ equivalence checking."""
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 from .errors import (
     AlphabetMismatchError,
     CapExceededError,
@@ -14,15 +11,14 @@ from .errors import (
     InconsistentTranscriptError,
     SemanticError,
 )
-from .machine import Fsm, _dump_doc, _field, _load_doc, _reachable, fsm_from_doc, run
+from .machine import Fsm, _dump_doc, _field, _load_doc, _reachable, _Record, fsm_from_doc, run
 
 
 # ---------------------------------------------------------------------------
 # Distribution bundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Package:
+class Package(_Record):
     """What ships: host machine, concealed watermark machine, and the
     serial test-port configuration."""
 
@@ -35,8 +31,7 @@ class Package:
     k: int = 1
 
 
-@dataclass(frozen=True)
-class Secret:
+class Secret(_Record):
     """What the verifier keeps: the decoding machine and the reference
     machine ``redux`` whose outputs a genuine cascade reproduces."""
 
@@ -106,8 +101,7 @@ def parse_secret(text: str) -> Secret:
 # Verification protocol
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     passed: bool
     divergence_index: int | None
     expected: tuple[str, ...]
@@ -202,8 +196,7 @@ class FsmOracle:
         return out
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Record):
     max_probes: int
     max_steps_per_probe: int
 
@@ -339,8 +332,7 @@ def reachable_outputs(m: Fsm) -> set[str]:
 # Output-count heuristic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputEstimate:
+class OutputEstimate(_Record):
     count: int
     probes_used: int
     note: str
@@ -351,6 +343,7 @@ def estimate_output_count(oracle: FsmOracle, budget: OracleBudget,
     """Random probing with a stopping rule: give up after a stretch of
     probes showing nothing new.  Heuristic only; certainty is out of
     reach for a black box."""
+    import random
     rng = random.Random(seed)
     seen: set[str] = set()
     stale = 0

@@ -38,16 +38,22 @@ EXPORTED = {
 }
 
 # Imports fsmwm.cli, runs one command and prints the fsmwm modules loaded
-# after the import and after the command, with the command's exit code.
+# after the import and after the command, with the command's exit code, and
+# which of the standard modules in WATCHED the import and command added.
 CHILD = """\
 import contextlib, io, json, sys
+watched, start = sys.argv.pop(1).split(), set(sys.modules)
 loaded = lambda: sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "fsmwm")
 import fsmwm.cli
 before = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = fsmwm.cli.main(sys.argv[1:])
-print(json.dumps([before, code, loaded()]))
+added = sorted(m for m in watched if m in set(sys.modules) - start)
+print(json.dumps([before, code, loaded(), added]))
 """
+# Slow to import and needed by no command (dataclasses, inspect), or only by
+# the commands that draw from it (random).
+WATCHED = "dataclasses inspect random"
 
 CLI_MODULES = ["cli", "errors", "fsmwm", "machine"]
 
@@ -68,27 +74,34 @@ def workdir(tmp_path_factory):
 
 def _loaded_in_child(cwd, argv):
     src = str(Path(fsmwm.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", CHILD] + argv, cwd=cwd,
+    # -S: without the site module, which may import any of WATCHED first
+    done = subprocess.run([sys.executable, "-S", "-c", CHILD, WATCHED] + argv, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                           text=True, timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, runs", [
-    (["decode-scan", "t.txt"], ["scanchain"]),
+@pytest.mark.parametrize("argv, runs, draws", [
+    (["lprk", "host.json", "-n", "4", "-k", "3", "-o", "lk2.json"], ["reduction"], False),
+    # a scan test draws its session setting; decoding one reads it
+    (["scan-test", "lk.json", "--chi", "2", "--omega", "8", "--steps", "4", "-o", "t2.txt"],
+     ["scanchain"], True),
+    (["decode-scan", "t.txt"], ["scanchain"], False),
     (["verify", "--package", "package.json", "--secret", "secret.json",
-      "--branch", "2", "--length", "4"], ["verify"]),
+      "--branch", "2", "--length", "4"], ["verify"], False),
+    (["attack", "lk.json", "--chi", "2", "-o", "rebuilt.json"], ["verify"], False),
     # a matrix bundle never loads decompose, a cascade bundle never matrixcrypt
     (["emit-package", "host.json", "--mode", "matrix", "-m", "6",
       "--out-package", "p.json", "--out-secret", "s.json"],
-     ["matrixcrypt", "pipeline", "reduction", "verify"]),
+     ["matrixcrypt", "pipeline", "reduction", "verify"], True),
     (["emit-package", "host.json", "--mode", "fixed", "-n", "4", "-k", "3",
       "--out-package", "p.json", "--out-secret", "s.json"],
-     ["decompose", "pipeline", "reduction", "verify"]),
-], ids=["decode-scan", "verify", "emit-matrix", "emit-fixed"])
-def test_command_loads_only_what_it_runs(workdir, argv, runs):
-    before, code, after = _loaded_in_child(workdir, argv)
+     ["decompose", "pipeline", "reduction", "verify"], False),
+], ids=["lprk", "scan-test", "decode-scan", "verify", "attack", "emit-matrix", "emit-fixed"])
+def test_command_loads_only_what_it_runs(workdir, argv, runs, draws):
+    before, code, after, added = _loaded_in_child(workdir, argv)
     assert (before, code, after) == (CLI_MODULES, 0, sorted(CLI_MODULES + runs))
+    assert added == (["random"] if draws else [])
 
 
 def test_namespace_resolves_every_exported_name():

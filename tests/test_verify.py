@@ -1,6 +1,5 @@
 """Verification protocol, bundles, probing attacks and equivalence."""
 
-import dataclasses
 import random
 
 import pytest
@@ -115,7 +114,7 @@ def test_protocol_refuses_branches_the_secret_does_not_take(request, bundle, bra
 def test_protocol_ignores_the_package_branch_count(fixed_bundle):
     # A package claiming 8 branches still selects among the secret's 4.
     package, secret = fixed_bundle
-    widened = dataclasses.replace(package, k=8)
+    widened = package.replace(k=8)
     with pytest.raises(FsmwmError, match="takes no branch 5"):
         watermark_test(widened, secret, 5, 4)
     assert watermark_test(widened, secret, 2, 4) == watermark_test(package, secret, 2, 4)
