@@ -29,10 +29,10 @@ _EXPORTS = {
     "decompose": "Partition PartitionPair build_dependent build_independent "
                  "enumerate_sp_partitions fixed_partitions_lprk is_input_preserving "
                  "is_orthogonal minimal_decomposition",
-    "scanchain": "TapSession Transcript decode_transcript drive_frames permutation_by_index "
+    "scanchain": "TapSession Transcript decode_transcript permutation_by_index "
                  "scan_watermark_test",
-    "verify": "FsmOracle OracleBudget Package Secret Verdict adversarial_extension "
-              "bounded_equiv estimate_output_count full_equiv informed_attack watermark_test",
+    "verify": "FsmOracle Package Secret Verdict adversarial_extension "
+              "bounded_equiv full_equiv informed_attack watermark_test",
     "pipeline": "build_decomp_bundle build_matrix_bundle state_bits",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

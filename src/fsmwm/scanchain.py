@@ -53,11 +53,9 @@ def apply_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
     return [bits[p] for p in perm]
 
 
-def invert_perm(bits: list[int], perm: tuple[int, ...]) -> list[int]:
-    out = [0] * len(bits)
-    for j, p in enumerate(perm):
-        out[p] = bits[j]
-    return out
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of ``perm``: ``apply_perm`` with both leaves a vector as it was."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def draw_setting(rng, n: int) -> int:
@@ -75,13 +73,6 @@ def setting_bit_width(n_b: int) -> int:
 
 def int_to_bits(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +179,7 @@ class TapSession:
     LSB-in.  The session opens with the freshly drawn setting prepended
     to the chain unpermuted, followed by an implicit latch of the reset
     frame; the TAP starts in Latch.  ``perm`` is the setting's
-    permutation, fixed for the whole session.
+    permutation, fixed for the whole session, and ``unperm`` its inverse.
     """
 
     def __init__(self, machine: Fsm, chi: int, omega: int, seed: int,
@@ -209,6 +200,7 @@ class TapSession:
             setting = draw_setting(random.Random(seed), self.n_b)
         self.setting = setting
         self.perm = permutation_by_index(self.n_b, self.setting)
+        self.unperm = _inverse(self.perm)
         self.tap_state, self.mstate, self.last_input_bits = LATCH, machine.reset, [0] * chi
         self.transcript = Transcript(self.n_b, chi, omega, seed)
         self.chain = int_to_bits(self.setting - 1, setting_bit_width(self.n_b))
@@ -219,10 +211,10 @@ class TapSession:
         self.chain += apply_perm(frame, self.perm)
 
     def _assert(self):
-        frame = invert_perm(self.chain[-self.n_b:], self.perm)
-        self.last_input_bits = frame[self.omega:]
+        self.last_input_bits = apply_perm(self.chain[-self.n_b:], self.unperm)[self.omega:]
+        value = int("".join(map(str, self.last_input_bits)) or "0", 2)
         self.mstate = self.machine.transitions.get(     # an undefined input freezes it
-            (self.mstate, str(bits_to_int(self.last_input_bits))), (self.mstate,))[0]
+            (self.mstate, str(value)), (self.mstate,))[0]
         self.chain = []
 
     def _clock(self, tms: int, tdis: list[int]) -> list[int]:
@@ -282,12 +274,6 @@ class _Frames(_Record, frozen=False):
             windows.clear()
 
 
-def drive_frames(session: TapSession, input_values: list[int]) -> Transcript:
-    """Run one frame per input value on the session and keep its windows."""
-    session.transcript.windows = list(_Frames(lambda: session, input_values))
-    return session.transcript
-
-
 def decode_transcript(transcript):
     """Recover the setting and the (state, input-field) payload stream
     from the serial log: a Transcript, or its text in batches of whole
@@ -304,8 +290,7 @@ def decode_transcript(transcript):
     else:
         raise FsmwmError("transcript shorter than the setting preamble")
     decoded_setting = int(bits[:p], 2) + 1
-    perm = permutation_by_index(n_b, decoded_setting)
-    unpermute = itemgetter(*sorted(range(n_b), key=perm.__getitem__))
+    unpermute = itemgetter(*_inverse(permutation_by_index(n_b, decoded_setting)))
     bits, payload = bits[p:], []
     for batch in chain(("",), shift_bits):        # what followed the preamble first
         bits += batch

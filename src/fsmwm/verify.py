@@ -178,10 +178,6 @@ class FsmOracle:
         self.resets = 0
         self.steps = 0
 
-    @property
-    def input_symbols(self) -> tuple[str, ...]:
-        return tuple(str(v) for v in range(1 << self.chi))
-
     def reset(self):
         self._state = self._machine.reset
         self.resets += 1
@@ -196,28 +192,24 @@ class FsmOracle:
         return out
 
 
-class OracleBudget(_Record):
-    max_probes: int
-    max_steps_per_probe: int
-
-    def __post_init__(self):
-        if self.max_probes < 1 or self.max_steps_per_probe < 1:
-            raise FsmwmError("budget must be positive")
-
-
 # What informed_attack may spend: one reset per input value, and ticks
 # down one branch before its output stream must have settled or halted.
-ATTACK_BUDGET = OracleBudget(max_probes=1 << 12, max_steps_per_probe=1 << 16)
+ATTACK_MAX_PROBES = 1 << 12
+ATTACK_MAX_TICKS = 1 << 16
 
 
 def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
     """Reconstruct a branch-select machine by probing every input value
     from reset, then ticking down each branch until the output stream
     stabilizes or halts.  Uses 2**chi resets; raises CapExceededError
-    when that or one branch's ticks would pass ``ATTACK_BUDGET``."""
-    if 1 << chi > ATTACK_BUDGET.max_probes:
-        raise CapExceededError(f"chi={chi} needs {1 << chi} probes; the attack "
-                               f"budget is {ATTACK_BUDGET.max_probes}")
+    when that passes ``ATTACK_MAX_PROBES`` or one branch's ticks pass
+    ``ATTACK_MAX_TICKS``."""
+    if chi != oracle.chi:
+        raise FsmwmError(f"chi={chi} does not match the oracle's input width {oracle.chi}")
+    if chi >= ATTACK_MAX_PROBES.bit_length():       # 2**chi > ATTACK_MAX_PROBES
+        raise CapExceededError(f"chi={chi} needs 2^{chi} probes; the attack "
+                               f"budget is {ATTACK_MAX_PROBES}")
+    resets = oracle.resets
     traces: dict[str, list[str | None]] = {}
     for v in range(1 << chi):
         oracle.reset()
@@ -226,7 +218,7 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
         trace: list[str | None] = [first]
         if first is not None:
             prev = None
-            for _ in range(ATTACK_BUDGET.max_steps_per_probe):
+            for _ in range(ATTACK_MAX_TICKS):
                 out = oracle.step("0")
                 trace.append(out)
                 if out is None or out == prev:
@@ -235,9 +227,9 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
             else:
                 raise CapExceededError(
                     f"branch {sym} neither settled nor halted within "
-                    f"{ATTACK_BUDGET.max_steps_per_probe} ticks")
+                    f"{ATTACK_MAX_TICKS} ticks")
         traces[sym] = trace
-    assert oracle.resets <= (1 << chi)
+    assert oracle.resets - resets == 1 << chi
 
     # Shared suffix structure: branches with identical tick streams are
     # one branch reached through several encodings.
@@ -276,21 +268,11 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
 # Adversarial consistency witness
 # ---------------------------------------------------------------------------
 
-def _normalize_runs(transcript):
-    if not transcript:
-        return []
-    first = transcript[0]
-    if first and isinstance(first[0], str):
-        return [list(transcript)]
-    return [list(r) for r in transcript]
-
-
-def adversarial_extension(transcript, j: int) -> Fsm:
-    """Machine replaying every observed (input, output) pair but with one
-    extra output reachable only past the observation horizon: the
-    executable witness that output counts cannot be pinned down from
+def adversarial_extension(runs: list[list[tuple[str, str]]], j: int) -> Fsm:
+    """Machine replaying every observed (input, output) pair of each run
+    but with one extra output reachable only past the observation horizon:
+    the executable witness that output counts cannot be pinned down from
     finite observation."""
-    runs = _normalize_runs(transcript)
     observed_outputs: set[str] = set()
     # Prefix tree, numbered as it grows: a new edge gets the next id.
     transitions: dict[tuple[int, str], tuple[int, str]] = {}
@@ -326,47 +308,6 @@ def adversarial_extension(transcript, j: int) -> Fsm:
 
 def reachable_outputs(m: Fsm) -> set[str]:
     return {out for *_, out in _reachable(m.reset, m.moves)}
-
-
-# ---------------------------------------------------------------------------
-# Output-count heuristic
-# ---------------------------------------------------------------------------
-
-class OutputEstimate(_Record):
-    count: int
-    probes_used: int
-    note: str
-
-
-def estimate_output_count(oracle: FsmOracle, budget: OracleBudget,
-                          seed: int = 0) -> OutputEstimate:
-    """Random probing with a stopping rule: give up after a stretch of
-    probes showing nothing new.  Heuristic only; certainty is out of
-    reach for a black box."""
-    import random
-    rng = random.Random(seed)
-    seen: set[str] = set()
-    stale = 0
-    stale_limit = max(1, budget.max_probes // 4)
-    probes = 0
-    while probes < budget.max_probes and stale < stale_limit:
-        probes += 1
-        oracle.reset()
-        new = False
-        for _ in range(budget.max_steps_per_probe):
-            out = oracle.step(rng.choice(oracle.input_symbols))
-            if out is None:
-                break
-            if out not in seen:
-                seen.add(out)
-                new = True
-        stale = 0 if new else stale + 1
-    return OutputEstimate(
-        count=len(seen),
-        probes_used=probes,
-        note="lower-bound heuristic; exact identification is impossible "
-             "from finite observation",
-    )
 
 
 # ---------------------------------------------------------------------------

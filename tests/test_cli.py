@@ -126,14 +126,16 @@ def test_verify_refuses_a_single_vertex_matrix_bundle(host_file, tmp_path, capsy
     assert out == "" and err.startswith("error:")
 
 
-def test_lpr_path_search_budget_exits_3(tmp_path, capsys):
+def test_lpr_path_search_budget_exits_3(tmp_path, capsys, monkeypatch):
     graph = tmp_path / "clique9.json"
     graph.write_text(format_graph(clique_with_leaves(9)))
-    t0 = time.perf_counter()
     assert main(["lpr", str(graph), "-m", "6"]) == 3
-    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget of 1048576 steps" in err
+    # the constant bounds the loop: a smaller budget refuses at its own count
+    monkeypatch.setattr("fsmwm.reduction.PATH_SEARCH_BUDGET", 1000)
+    assert main(["lpr", str(graph), "-m", "6"]) == 3
+    assert "budget of 1000 steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -764,8 +766,10 @@ def _cycling_ticks(tmp_path):
 
 @pytest.mark.parametrize("chi, message", [
     ("1", "branch 1 neither settled nor halted within 65536 ticks"),
-    ("13", "chi=13 needs 8192 probes"),
+    ("13", "chi=13 needs 2^13 probes; the attack budget is 4096"),
     ("40", "chi=40 needs"),
+    ("100000000", "chi=100000000 needs 2^100000000 probes"),
+    ("100000000000", "chi=100000000000 needs"),
     ("-1", "chi -1 must be >= 0"),
 ])
 def test_attack_budget(tmp_path, capsys, chi, message):

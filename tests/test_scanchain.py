@@ -13,7 +13,6 @@ from fsmwm import (
     FsmwmError,
     TapSession,
     decode_transcript,
-    drive_frames,
     permutation_by_index,
     run_states,
     scan_watermark_test,
@@ -21,10 +20,8 @@ from fsmwm import (
 from fsmwm import scanchain
 from fsmwm.scanchain import (
     apply_perm,
-    bits_to_int,
     draw_setting,
     int_to_bits,
-    invert_perm,
     setting_bit_width,
 )
 from conftest import make_chain_host, random_machine
@@ -51,7 +48,7 @@ def test_apply_invert_round_trip(rng):
         n = rng.randint(1, 8)
         bits = [rng.randint(0, 1) for _ in range(n)]
         i = permutation_by_index(n, rng.randint(1, math.factorial(n)))
-        assert invert_perm(apply_perm(bits, i), i) == bits
+        assert apply_perm(apply_perm(bits, i), scanchain._inverse(i)) == bits
 
 
 def test_draw_setting_range_and_determinism():
@@ -89,7 +86,7 @@ def test_int_bits_round_trip(rng):
     for _ in range(50):
         w = rng.randint(1, 12)
         v = rng.randrange(1 << w)
-        assert bits_to_int(int_to_bits(v, w)) == v
+        assert int("".join(map(str, int_to_bits(v, w))), 2) == v
 
 
 def test_transcript_format_round_trip():
@@ -255,8 +252,8 @@ def test_preamble_is_unpermuted():
     setting = 5
     t = scan_watermark_test(machine, 1, 2, 0, seed=0, steps=2, setting=setting)
     p = setting_bit_width(3)
-    shift_bits = [tdo for _, _, _, tdo, st in t.records if st == "Shift"]
-    assert bits_to_int(shift_bits[:p]) + 1 == setting
+    shift_bits = "".join(str(tdo) for _, _, _, tdo, st in t.records if st == "Shift")
+    assert int(shift_bits[:p], 2) + 1 == setting
 
 
 def test_sessions_differ_by_seed():
@@ -278,8 +275,8 @@ def test_session_rejects_narrow_omega():
 
 
 def _drive_by_cycles(session, input_values):
-    """Reference for ``drive_frames``: the same schedule, one ``tap_step``
-    per test-clock cycle."""
+    """Reference for the frames a scan test drives: the same schedule, one
+    ``tap_step`` per test-clock cycle."""
     p = setting_bit_width(session.n_b)
     perm = permutation_by_index(session.n_b, session.setting)
     for f, value in enumerate(input_values):
@@ -310,7 +307,7 @@ def test_frame_shift_matches_cycle_shift(rng):
             for tms, tdi in lead:
                 session.tap_step(tms, tdi)
         frames, cycles = sessions
-        assert drive_frames(frames, values).records == \
-            _drive_by_cycles(cycles, values).records
+        frames.transcript.windows = list(scanchain._Frames(lambda: frames, values))
+        assert frames.transcript.records == _drive_by_cycles(cycles, values).records
         assert (frames.mstate, list(frames.chain), frames.tap_state) == \
             (cycles.mstate, list(cycles.chain), cycles.tap_state)

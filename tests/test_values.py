@@ -10,7 +10,6 @@ from fsmwm import (
     Fsm,
     FsmwmError,
     LprkSpec,
-    OracleBudget,
     Package,
     Partition,
     PartitionError,
@@ -37,7 +36,7 @@ def test_equality_is_by_type_and_fields():
     assert hash(LprkSpec(1, 2, 3)) == hash(LprkSpec(z=3, k=2, n=1))
     assert PermKey((0, 1)) != Path((0, 1))
     assert Path((0, 1)) != (0, 1) and Path((0, 1)) != ((0, 1),)
-    assert OracleBudget(1, 2) != (1, 2)
+    assert LprkSpec(1, 2, 3) != (1, 2, 3)
 
 
 def test_fsm_hash_leaves_out_the_step_map():
@@ -62,7 +61,6 @@ def test_conn_graph_equality_ignores_its_successor_cache():
     (Partition.of([[0]]), "assign"),
     (PermKey((0,)), "image"),
     (Verdict(True, None, (), ()), "passed"),
-    (OracleBudget(1, 1), "max_probes"),
 ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
 def test_assignment_to_a_frozen_value_is_refused(value, name):
     with pytest.raises(AttributeError):
@@ -119,7 +117,6 @@ REFUSALS = [
     (Partition, dict(states=(1, 0), assign=(0, 1)), PartitionError, "strictly ascending"),
     (Partition, dict(states=(0, 1), assign=(1, 0)), PartitionError, "numbered by minimum"),
     (PermKey, dict(image=(0, 0)), DimensionError, "not a permutation"),
-    (OracleBudget, dict(max_probes=1, max_steps_per_probe=0), FsmwmError, "must be positive"),
 ]
 
 

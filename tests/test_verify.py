@@ -10,13 +10,11 @@ from fsmwm import (
     FsmOracle,
     FsmwmError,
     InconsistentTranscriptError,
-    OracleBudget,
     adversarial_extension,
     bounded_equiv,
     branch_input_bits,
     build_decomp_bundle,
     build_matrix_bundle,
-    estimate_output_count,
     full_equiv,
     informed_attack,
     run,
@@ -170,7 +168,6 @@ def test_oracle_counts_probes(fixed_bundle):
     oracle.reset()
     oracle.step("0")
     assert oracle.resets == 1 and oracle.steps == 1
-    assert oracle.input_symbols == ("0", "1", "2", "3")
 
 
 def test_informed_attack_on_reduction(fixed_bundle):
@@ -196,6 +193,21 @@ def test_informed_attack_keeps_a_branch_that_halts_after_its_first_output():
     rebuilt = informed_attack(FsmOracle(m, 1), 1)
     assert bounded_equiv(m, rebuilt, 1)
     assert full_equiv(m, rebuilt)
+
+
+def test_informed_attack_twice_on_one_oracle(fixed_bundle):
+    package, secret = fixed_bundle
+    oracle = FsmOracle(secret.redux, package.chi)
+    first = informed_attack(oracle, package.chi)
+    assert informed_attack(oracle, package.chi) == first
+    assert oracle.resets == 2 << package.chi
+
+
+@pytest.mark.parametrize("chi", [-1, 2])
+def test_informed_attack_refuses_a_chi_other_than_the_oracle_s(fixed_bundle, chi):
+    _, secret = fixed_bundle
+    with pytest.raises(FsmwmError, match=f"chi={chi} does not match"):
+        informed_attack(FsmOracle(secret.redux, 5), chi)
 
 
 def _branch_machine(rng: random.Random, chi: int) -> Fsm:
@@ -236,7 +248,7 @@ def test_informed_attack_rebuilds_branch_machines_with_holes(rng):
 
 def test_adversarial_extension_single_run():
     transcript = [("0", "x"), ("1", "y"), ("0", "x")]
-    m = adversarial_extension(transcript, 2)
+    m = adversarial_extension([transcript], 2)
     outs, consumed = run(m, [s for s, _ in transcript])
     assert outs == [o for _, o in transcript] and consumed == 3
     assert len(reachable_outputs(m)) == 3
@@ -274,11 +286,11 @@ def test_adversarial_extension_rejects_conflict():
 
 def test_adversarial_extension_checks_count():
     with pytest.raises(FsmwmError):
-        adversarial_extension([("0", "x")], 5)
+        adversarial_extension([[("0", "x")]], 5)
 
 
 def test_adversarial_extension_fresh_name_avoids_clash():
-    m = adversarial_extension([("0", "extra")], 1)
+    m = adversarial_extension([[("0", "extra")]], 1)
     assert len(reachable_outputs(m)) == 2
     assert "extra'" in m.outputs
 
@@ -290,17 +302,6 @@ def test_reachable_outputs_matches_runs(rng):
         # Every reachable step ends some string of length <= |states|.
         want = {o for w in all_strings(m.inputs, len(m.states)) for o in run(m, w)[0]}
         assert reachable_outputs(m) == want
-
-
-def test_estimate_output_count_lower_bound(rng):
-    for _ in range(10):
-        m = random_machine(rng, 6, 2, n_outputs=4)
-        oracle = FsmOracle(m, 1)
-        est = estimate_output_count(oracle, OracleBudget(50, 10), seed=3)
-        true = len(reachable_outputs(m))
-        assert est.count <= true
-        assert est.probes_used <= 50
-        assert "impossible" in est.note
 
 
 def test_bounded_equiv_detects_divergence():
