@@ -91,15 +91,17 @@ class Fsm(_Record):
 
     def __post_init__(self):
         if self.reset not in self.states:
-            raise SemanticError(f"reset state {self.reset} not in state set")
+            raise SemanticError(f"reset state {clip(str(self.reset))} not in state set")
         states, inputs, outputs = self.states, set(self.inputs), set(self.outputs)
         for (src, sym), (dst, out) in self.transitions.items():
             if src not in states or dst not in states:
-                raise SemanticError(f"transition ({src},{sym})->{dst} leaves the state set")
+                raise SemanticError(f"transition {clip(f'({src},{sym})->{dst}')} "
+                                    "leaves the state set")
             if sym not in inputs:
-                raise SemanticError(f"unknown input symbol {sym!r}")
+                raise SemanticError(f"unknown input symbol {clip(repr(sym))}")
             if out not in outputs:
-                raise SemanticError(f"unknown output symbol {out!r} at {(src, sym)}")
+                raise SemanticError(f"unknown output symbol {clip(repr(out))} "
+                                    f"at {clip(str((src, sym)))}")
 
     def __hash__(self):                 # the step map, a dict, is compared but not hashed
         return hash((self.states, self.inputs, self.outputs, self.reset))
@@ -121,10 +123,10 @@ class ConnGraph(_Record):
 
     def __post_init__(self):
         if self.root not in self.vertices:
-            raise SemanticError(f"root {self.root} not in vertex set")
+            raise SemanticError(f"root {clip(str(self.root))} not in vertex set")
         for u, v in self.edges:
             if u not in self.vertices or v not in self.vertices:
-                raise SemanticError(f"edge ({u},{v}) leaves the vertex set")
+                raise SemanticError(f"edge {clip(f'({u},{v})')} leaves the vertex set")
 
     @cached_property
     def _succ(self) -> dict[int, tuple[int, ...]]:
@@ -306,13 +308,15 @@ def fsm_from_doc(doc: dict) -> Fsm:
         try:
             src, sym, dst, out = t["from"], t["in"], t["to"], t["out"]
         except (KeyError, TypeError):
-            raise SemanticError(f"transition needs from, in, to and out: {t}") from None
+            raise SemanticError("transition needs from, in, to and out: "
+                                f"{clip(str(t))}") from None
         if not (type(src) is int and type(dst) is int):
-            raise SemanticError(f"transition states must be integer ids: {t}")
+            raise SemanticError(f"transition states must be integer ids: {clip(str(t))}")
         if not (isinstance(sym, str) and isinstance(out, str)):
-            raise SemanticError(f"transition symbols must be strings: {t}")
+            raise SemanticError(f"transition symbols must be strings: {clip(str(t))}")
         if (src, sym) in transitions:
-            raise SemanticError(f"duplicate transition for state {src} input {sym!r}")
+            raise SemanticError(f"duplicate transition for state {clip(str(src))} "
+                                f"input {clip(sym)!r}")
         transitions[src, sym] = (dst, out)
     return Fsm(
         states=_ids(doc, "states"),
@@ -337,7 +341,7 @@ def graph_from_doc(doc: dict) -> ConnGraph:
     for e in _field(doc, "edges", list):
         if not (isinstance(e, list) and len(e) == 2
                 and type(e[0]) is int and type(e[1]) is int):
-            raise SemanticError(f"edge {e} must be a pair of vertex ids")
+            raise SemanticError(f"edge {clip(str(e))} must be a pair of vertex ids")
         edges.add((e[0], e[1]))
     return ConnGraph(
         vertices=_ids(doc, "vertices"),
@@ -403,7 +407,7 @@ def parse_kiss2(text: str) -> Fsm:
 
     def expand(bits: str) -> list[str]:
         if len(bits) != ni:
-            raise SemanticError(f"input field {bits!r} does not match .i {ni}")
+            raise SemanticError(f"input field {clip(bits)!r} does not match .i {ni}")
         pats = [""]
         for b in bits:
             choices = "01" if b == "-" else b

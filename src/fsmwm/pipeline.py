@@ -47,8 +47,8 @@ def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
     watermark = build_watermark_machine(key, reduced)
     decoder = build_decryption_machine(key, reduced)
     redux = standard_cg_machine(reduced)
-    package = Package(mode="matrix", host=host, watermark=watermark,
-                      chi=1, omega=_omega(watermark, omega), n=m, k=1)
+    package = Package(mode="matrix", watermark=watermark, chi=1,
+                      omega=_omega(watermark, omega))
     secret = Secret(mode="matrix", decoder=decoder, redux=redux)
     return package, secret, key
 
@@ -74,8 +74,7 @@ def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
         pair = minimal_decomposition(redux, cap=cap)
     front = build_independent(redux, pair.pi_i)
     back = build_dependent(redux, pair)
-    package = Package(mode=mode, host=host, watermark=front,
-                      chi=branch_input_bits(k), omega=_omega(redux, omega),
-                      n=n, k=k)
+    package = Package(mode=mode, watermark=front, chi=branch_input_bits(k),
+                      omega=_omega(redux, omega))
     secret = Secret(mode=mode, decoder=back, redux=redux)
     return package, secret

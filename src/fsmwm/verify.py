@@ -19,16 +19,14 @@ from .machine import Fsm, _dump_doc, _field, _load_doc, _reachable, _Record, fsm
 # ---------------------------------------------------------------------------
 
 class Package(_Record):
-    """What ships: host machine, concealed watermark machine, and the
-    serial test-port configuration."""
+    """What ships: the concealed watermark machine and the serial test-port
+    configuration.  The host it was built from is the user's own file and
+    is not repeated here: the verifier never reads it."""
 
     mode: str                       # "matrix" | "fixed" | "optimal"
-    host: Fsm
     watermark: Fsm
     chi: int
     omega: int
-    n: int = 0
-    k: int = 1
 
 
 class Secret(_Record):
@@ -55,25 +53,22 @@ def format_package(p: Package) -> str:
     return _dump_doc({
         "kind": "package",
         "mode": p.mode,
-        "host": p.host,
         "watermark": p.watermark,
-        "tap": {"chi": p.chi, "omega": p.omega, "scheme": _SCHEME,
-                "n": p.n, "k": p.k},
+        "tap": {"chi": p.chi, "omega": p.omega, "scheme": _SCHEME},
     })
 
 
 def parse_package(text: str) -> Package:
+    """Reads ``mode``, ``watermark`` and ``tap`` only, so the ``host`` and
+    ``tap.n``/``tap.k`` of packages written before are ignored."""
     doc = _load_doc(text, "package")
     tap = _field(doc, "tap", dict)
     _check_scheme(tap)
     return Package(
         mode=_field(doc, "mode", str),
-        host=fsm_from_doc(_field(doc, "host", dict)),
         watermark=fsm_from_doc(_field(doc, "watermark", dict)),
         chi=_field(tap, "chi", int),
         omega=_field(tap, "omega", int),
-        n=_field(tap, "n", int),
-        k=_field(tap, "k", int),
     )
 
 

@@ -50,7 +50,7 @@ from fsmwm.reduction import (
     sized_path,
 )
 from fsmwm.scanchain import decode_transcript, scan_watermark_test
-from fsmwm.verify import Package, reachable_outputs
+from fsmwm.verify import reachable_outputs
 from conftest import (
     make_chain_host,
     make_host8,
@@ -90,12 +90,6 @@ def _tamperings(machine: Fsm):
                       machine.reset, tr)
 
 
-def _repackage(package, watermark):
-    return Package(mode=package.mode, host=package.host, watermark=watermark,
-                   chi=package.chi, omega=package.omega, n=package.n,
-                   k=package.k)
-
-
 def test_criterion_02_protocol_soundness():
     host = make_host8()
     failures = []
@@ -109,7 +103,7 @@ def test_criterion_02_protocol_soundness():
                 if not watermark_test(package, secret, v, n + 2).passed:
                     failures.append(("genuine", n, k, v))
             for bad in _tamperings(package.watermark):
-                tampered = _repackage(package, bad)
+                tampered = package.replace(watermark=bad)
                 if all(watermark_test(tampered, secret, v, n + 2).passed
                        for v in encodings):
                     failures.append(("tamper-missed", n, k))
@@ -119,7 +113,7 @@ def test_criterion_02_protocol_soundness():
         if not watermark_test(package, secret, 0, m + 1).passed:
             failures.append(("genuine-matrix", m))
         for bad in _tamperings(package.watermark):
-            if watermark_test(_repackage(package, bad), secret, 0, m + 1).passed:
+            if watermark_test(package.replace(watermark=bad), secret, 0, m + 1).passed:
                 failures.append(("tamper-missed-matrix", m))
     _verdict_line(2, not failures)
 

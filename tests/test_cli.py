@@ -101,11 +101,11 @@ def _emit(host_file, tmp_path, *argv):
 
 
 def test_verify_refuses_a_package_that_widens_its_branch_count(host_file, tmp_path, capsys):
-    # The secret's reduction takes branches 0..3 at reset; tap.k = 8 in
-    # the package does not make branch 5 legal.
+    # The secret's reduction takes branches 0..3 at reset; tap.chi = 3 (8
+    # branches) in the package does not make branch 5 legal.
     p, s = _emit(host_file, tmp_path, "--mode", "fixed", "-n", "4", "-k", "3")
     doc = json.loads(p.read_text())
-    doc["tap"]["k"] = 8
+    doc["tap"]["chi"] = 3
     p.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--package", str(p), "--secret", str(s),
@@ -124,6 +124,47 @@ def test_verify_refuses_a_single_vertex_matrix_bundle(host_file, tmp_path, capsy
     assert main(["verify", "--package", str(p), "--secret", str(s), "--length", "4"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("mode", [
+    ["--mode", "fixed", "-n", "4", "-k", "3"],
+    ["--mode", "matrix", "-m", "6"],
+    ["--mode", "optimal", "-n", "2", "-k", "2"],
+], ids=["fixed", "matrix", "optimal"])
+def test_old_form_package_verifies_to_the_same_bytes(host_file, tmp_path, capsys, mode):
+    # Packages once carried the host and tap.n/tap.k; the reader ignores
+    # them, so every branch, genuine or tampered, gives the same verdict.
+    p, s = _emit(host_file, tmp_path, *mode)
+    doc = json.loads(p.read_text())
+    tampered = json.loads(p.read_text())
+    for t in tampered["watermark"]["transitions"]:
+        t["to"] = tampered["watermark"]["reset"]
+    for new in (doc, tampered):
+        old = dict(new, host=json.loads(Path(host_file).read_text()),
+                   tap=dict(new["tap"], n=4, k=3))
+        results = []
+        for form in (new, old):
+            p.write_text(json.dumps(form))
+            capsys.readouterr()
+            results.append([(main(["verify", "--package", str(p), "--secret", str(s),
+                                   "--branch", str(b), "--length", "5"]),
+                             capsys.readouterr().out)
+                            for b in range(-1, (1 << new["tap"]["chi"]) + 1)])
+        assert results[0] == results[1]
+        assert {code for code, _ in results[0]} == ({0, 3} if new is doc else {1, 3})
+
+
+def test_package_bytes_do_not_depend_on_the_host_size(tmp_path, monkeypatch):
+    # Two ascending chains whose sized paths have the same relative order
+    # give the same reduction, so the same package and secret.
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for n in (64, 4096):
+        (tmp_path / "host.json").write_text(format_fsm(make_chain_host(n)))
+        assert main(["emit-package", "host.json", "--mode", "fixed", "-n", "4", "-k", "3"]) == 0
+        written.append([(tmp_path / name).read_bytes() for name in ("package.json",
+                                                                    "secret.json")])
+    assert written[0] == written[1]
 
 
 def test_lpr_path_search_budget_exits_3(tmp_path, capsys, monkeypatch):
@@ -439,15 +480,21 @@ def test_config_defaults_flags_win(host_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rows": 3, "branches": 2, "mode": "fixed",
                                "out_package": str(p1), "out_secret": str(s1)}))
+
+    def bundle(*flags):
+        # what the flags alone write; n shows only in the secret's reduction
+        p, s = _emit(host_file, tmp_path, "--mode", "fixed", "-k", "2", *flags)
+        return p.read_bytes(), s.read_bytes()
+
     assert main(["--config", str(cfg), "emit-package", host_file,
                  "--mode", "fixed"]) == 0
-    assert json.loads(p1.read_text())["tap"]["n"] == 3
-    # explicit flag overrides the config value
-    p2 = tmp_path / "p2.json"
+    assert (p1.read_bytes(), s1.read_bytes()) == bundle("-n", "3")
+    # explicit flags override the config values
+    p2, s2 = tmp_path / "p2.json", tmp_path / "s2.json"
     assert main(["--config", str(cfg), "emit-package", host_file,
                  "--mode", "fixed", "-n", "4",
-                 "--out-package", str(p2), "--out-secret", str(s1)]) == 0
-    assert json.loads(p2.read_text())["tap"]["n"] == 4
+                 "--out-package", str(p2), "--out-secret", str(s2)]) == 0
+    assert (p2.read_bytes(), s2.read_bytes()) == bundle("-n", "4") != bundle("-n", "3")
 
 
 def test_config_defaults_do_not_outlive_the_call(host_file, tmp_path,
@@ -610,7 +657,7 @@ def _drop_transition_input(doc):
 
 
 def _scalar_states(doc):
-    doc["host"]["states"] = 5
+    doc["watermark"]["states"] = 5
 
 
 def _unknown_scheme(doc):
@@ -622,7 +669,7 @@ def _top_level_list(doc):
 
 
 def _boolean_tap(doc):
-    doc["tap"]["k"] = True
+    doc["tap"]["chi"] = True
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -890,21 +937,58 @@ def test_unreadable_input_exits_3_as_a_process(tmp_path):
             assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
+LONG, BIG = "x" * 100_000, int("9" * 4000)
+
+
+def _machine(transitions, inputs=("0",), outputs=("a",), reset=0):
+    return "machine.json", json.dumps({"states": [0], "inputs": list(inputs),
+                                       "outputs": list(outputs), "reset": reset,
+                                       "transitions": transitions})
+
+
+def _step(src=0, sym="0", dst=0, out="a"):
+    return {"from": src, "in": sym, "to": dst, "out": out}
+
+
+def _graph(edges, root=0):
+    return "graph.json", json.dumps({"vertices": [0], "edges": edges, "root": root})
+
+
 @pytest.mark.parametrize("name, text", [
     ("long.kiss2", ".i " + "1" * 5001 + "\n.o 1\n.r a\n0 a a 1\n"),
     ("long.kiss2", ".i " + "x" * 5001 + "\n.o 1\n.r a\n0 a a 1\n"),
+    ("long.kiss2", ".i 2\n.o 1\n.r a\n" + "0" * 100_000 + " a a 1\n"),
     ("t.txt", " ".join(["0"] * 100_000) + "\n0 1 0 0 Shift\n"),
     ("t.txt", "0 1 7 " + "1" * 4000 + "\n0 1 0 0 Shift\n"),
     ("t.txt", "3 1 2 5\n" + " ".join(["0"] * 100_000) + "\n"),
     ("t.txt", "3 1 2 5\n0 1 0 0 " + "Shift" * 20_000 + "\n"),
-], ids=[".i-digits", ".i-letters", "header-fields", "header-width", "record-fields",
-        "record-state"])
+    _machine([{"from": 0, "in": LONG, "to": 0}]),
+    _machine([_step(src=LONG)]),
+    _machine([_step(sym=LONG, out=0)]),
+    _machine([_step(sym=LONG)] * 2, inputs=[LONG]),
+    _machine([_step(src=BIG)] * 2),
+    _machine([_step(sym=LONG, dst=7)], inputs=[LONG]),
+    _machine([_step(sym=LONG)]),
+    _machine([_step(out=LONG)]),
+    _machine([_step(sym=LONG, out="b")], inputs=[LONG]),
+    _machine([], reset=BIG),
+    _graph([[0, LONG]]),
+    _graph([], root=BIG),
+    _graph([[0, BIG]]),
+], ids=[".i-digits", ".i-letters", "input-field", "header-fields", "header-width",
+        "record-fields", "record-state", "transition-fields", "transition-ids",
+        "transition-symbols", "duplicate-input", "duplicate-state", "leaves-states",
+        "unknown-input", "unknown-output", "unknown-output-at", "reset", "edge-pair",
+        "root", "edge-leaves-vertices"])
 def test_long_offending_text_is_clipped(tmp_path, capsys, name, text):
     # A message echoes at most 40 characters of what it refuses, the cut marked.
     path = tmp_path / name
     path.write_text(text)
-    command = "extract-cg" if name.endswith(".kiss2") else "decode-scan"
-    assert main([command, str(path)]) == 3
+    if name == "graph.json":
+        argv = ["lpr", str(path), "-m", "2"]
+    else:
+        argv = ["decode-scan" if name == "t.txt" else "extract-cg", str(path)]
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "..." in err and len(err) < 200, err
 

@@ -10,7 +10,6 @@ from fsmwm import (
     Fsm,
     FsmwmError,
     LprkSpec,
-    Package,
     Partition,
     PartitionError,
     Path,
@@ -83,7 +82,7 @@ def test_transcript_is_mutable_and_unhashable():
 @pytest.mark.parametrize("call", [
     lambda: LprkSpec(1, 2), lambda: LprkSpec(1, 2, 3, 4), lambda: LprkSpec(1, 2, 3, n=1),
     lambda: LprkSpec(1, 2, w=3), lambda: LprkSpec(n=1, k=2), lambda: LprkSpec(n=1, k=2, z=3, w=4),
-    lambda: Package("fixed", None, None, 2, 3, 0, 1, 5), lambda: Package("fixed", None, None, 2, k=1),
+    lambda: Transcript(3, 1, 2, 0, [], 5), lambda: Transcript(3, 1, 2, windows=[]),
 ], ids=["missing", "extra", "twice", "unknown", "missing-keyword", "unknown-keyword",
         "extra-past-defaults", "missing-before-defaults"])
 def test_a_call_that_does_not_fit_the_fields_is_a_type_error(call):
@@ -91,11 +90,10 @@ def test_a_call_that_does_not_fit_the_fields_is_a_type_error(call):
         call()
 
 
-def test_package_defaults():
-    host = make_host8()
-    package = Package("fixed", host, host, 2, 3)
-    assert (package.n, package.k) == (0, 1)
-    assert package == Package(mode="fixed", host=host, watermark=host, chi=2, omega=3, n=0, k=1)
+def test_transcript_defaults():
+    t = Transcript(3, 1, 2, 0)
+    assert t.windows == [] and Transcript(3, 1, 2, 0, None).windows == []
+    assert t == Transcript(n_b=3, chi=1, omega=2, seed=0, windows=[])
 
 
 REFUSALS = [

@@ -36,14 +36,18 @@ def matrix_bundle():
     return build_matrix_bundle(make_host8(), 6, key_seed=2718)
 
 
+FIXED_N, FIXED_K = 4, 3
+OPTIMAL_N, OPTIMAL_K = 2, 2
+
+
 @pytest.fixture(scope="module")
 def fixed_bundle():
-    return build_decomp_bundle(make_host8(), 4, 3, mode="fixed")
+    return build_decomp_bundle(make_host8(), FIXED_N, FIXED_K, mode="fixed")
 
 
 @pytest.fixture(scope="module")
 def optimal_bundle():
-    return build_decomp_bundle(make_host8(), 2, 2, mode="optimal")
+    return build_decomp_bundle(make_host8(), OPTIMAL_N, OPTIMAL_K, mode="optimal")
 
 
 def test_package_round_trip(matrix_bundle):
@@ -81,7 +85,7 @@ def test_matrix_protocol_passes(matrix_bundle):
 
 def test_fixed_protocol_passes_every_branch(fixed_bundle):
     package, secret = fixed_bundle
-    for v in range(1 << branch_input_bits(package.k)):
+    for v in range(1 << branch_input_bits(FIXED_K)):
         assert watermark_test(package, secret, v, 4).passed
 
 
@@ -94,7 +98,7 @@ def test_protocol_branch_range(fixed_bundle):
 def test_optimal_protocol_passes_every_branch(optimal_bundle):
     package, secret = optimal_bundle
     for v in range(1 << package.chi):
-        assert watermark_test(package, secret, v, package.n + 1).passed
+        assert watermark_test(package, secret, v, OPTIMAL_N + 1).passed
 
 
 @pytest.mark.parametrize("bundle, branch", [
@@ -110,9 +114,9 @@ def test_protocol_refuses_branches_the_secret_does_not_take(request, bundle, bra
 
 
 def test_protocol_ignores_the_package_branch_count(fixed_bundle):
-    # A package claiming 8 branches still selects among the secret's 4.
+    # A package claiming 3 input bits (8 branches) still selects among the secret's 4.
     package, secret = fixed_bundle
-    widened = package.replace(k=8)
+    widened = package.replace(chi=3)
     with pytest.raises(FsmwmError, match="takes no branch 5"):
         watermark_test(widened, secret, 5, 4)
     assert watermark_test(widened, secret, 2, 4) == watermark_test(package, secret, 2, 4)
@@ -152,12 +156,10 @@ def test_tampered_package_fails(fixed_bundle):
     key = next(iter(sorted(wm.transitions)))
     other = next(s for s in sorted(wm.states) if s != wm.transitions[key][0])
     bad = _tamper(wm, key, other)
-    tampered = type(package)(mode=package.mode, host=package.host,
-                             watermark=bad, chi=package.chi,
-                             omega=package.omega, n=package.n, k=package.k)
+    tampered = package.replace(watermark=bad)
     failed = [
-        v for v in range(1 << branch_input_bits(package.k))
-        if not watermark_test(tampered, secret, v, package.n + 1).passed
+        v for v in range(1 << branch_input_bits(FIXED_K))
+        if not watermark_test(tampered, secret, v, FIXED_N + 1).passed
     ]
     assert failed, "tampering must be visible on at least one branch"
 
@@ -176,7 +178,7 @@ def test_informed_attack_on_reduction(fixed_bundle):
     oracle = FsmOracle(secret.redux, chi)
     rebuilt = informed_attack(oracle, chi)
     assert oracle.resets <= 1 << chi
-    assert bounded_equiv(rebuilt, secret.redux, package.n + 1)
+    assert bounded_equiv(rebuilt, secret.redux, FIXED_N + 1)
 
 
 def test_informed_attack_on_shipped_machine(fixed_bundle):
@@ -184,7 +186,7 @@ def test_informed_attack_on_shipped_machine(fixed_bundle):
     oracle = FsmOracle(package.watermark, package.chi)
     rebuilt = informed_attack(oracle, package.chi)
     assert oracle.resets <= 1 << package.chi
-    assert bounded_equiv(rebuilt, package.watermark, package.n + 1)
+    assert bounded_equiv(rebuilt, package.watermark, FIXED_N + 1)
 
 
 def test_informed_attack_keeps_a_branch_that_halts_after_its_first_output():
