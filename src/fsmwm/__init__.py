@@ -32,7 +32,7 @@ _EXPORTS = {
     "scanchain": "TapSession Transcript decode_transcript permutation_by_index "
                  "scan_watermark_test",
     "verify": "FsmOracle Package Secret Verdict adversarial_extension "
-              "bounded_equiv full_equiv informed_attack watermark_test",
+              "bounded_equiv informed_attack watermark_test",
     "pipeline": "build_decomp_bundle build_matrix_bundle state_bits",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

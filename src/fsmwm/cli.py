@@ -19,7 +19,7 @@ from .machine import (
     format_graph,
     fsm_from_doc,
     graph_from_doc,
-    parse_fsm,
+    parse_fsm,      # not called here: perfbench/test_perfbench.py reads cli.parse_fsm
     parse_graph,
     parse_kiss2,
     standard_cg_machine,
@@ -45,18 +45,19 @@ def _write(path: str, text: str):
 
 
 def _load(path: str, graph: bool = False):
-    """The machine in a file: a JSON document if the text opens with "{",
-    else KISS2.  With ``graph``, a graph document (one with a top-level
-    ``vertices`` key), or a machine's connectivity graph."""
+    """The machine in a file: a JSON document if the text opens with "{"
+    (after whitespace, found without a stripped copy of the text), else KISS2.
+    With ``graph``, a graph document (one with a top-level ``vertices``
+    key), or a machine's connectivity graph."""
     text = _read(path)
-    is_json = text.lstrip().startswith("{")
-    if graph and is_json:
+    if next((c for c in text if not c.isspace()), "") != "{":
+        m = parse_kiss2(text)
+    else:
         doc = _load_doc(text)
-        if "vertices" in doc:
+        del text                # only the document is held from here on
+        if graph and "vertices" in doc:
             return graph_from_doc(doc)
         m = fsm_from_doc(doc)
-    else:
-        m = parse_fsm(text) if is_json else parse_kiss2(text)
     return connectivity_graph(m) if graph else m
 
 

@@ -302,9 +302,11 @@ def _fsm_text(m: Fsm, pad: str = "") -> str:
 
 
 def fsm_from_doc(doc: dict) -> Fsm:
-    """Type, shape and duplicate checks here; ``Fsm`` checks membership."""
+    """Type, shape and duplicate checks here; ``Fsm`` checks membership.  Empties
+    the document's rows, each set to None once stored, to hold no value twice."""
     transitions = {}
-    for t in _field(doc, "transitions", list):
+    rows = _field(doc, "transitions", list)
+    for i, t in enumerate(rows):
         try:
             src, sym, dst, out = t["from"], t["in"], t["to"], t["out"]
         except (KeyError, TypeError):
@@ -318,6 +320,7 @@ def fsm_from_doc(doc: dict) -> Fsm:
             raise SemanticError(f"duplicate transition for state {clip(str(src))} "
                                 f"input {clip(sym)!r}")
         transitions[src, sym] = (dst, out)
+        rows[i] = None
     return Fsm(
         states=_ids(doc, "states"),
         inputs=_symbols(doc, "inputs"),
@@ -329,7 +332,9 @@ def fsm_from_doc(doc: dict) -> Fsm:
 
 def parse_fsm(text: str) -> Fsm:
     """Parse the JSON-shaped interchange document."""
-    return fsm_from_doc(_load_doc(text))
+    doc = _load_doc(text)
+    del text                    # only the document is held from here on
+    return fsm_from_doc(doc)
 
 
 def format_fsm(m: Fsm) -> str:
@@ -337,21 +342,24 @@ def format_fsm(m: Fsm) -> str:
 
 
 def graph_from_doc(doc: dict) -> ConnGraph:
-    edges = set()
-    for e in _field(doc, "edges", list):
+    """Replaces each edge row of the document with its pair as it checks it."""
+    rows = _field(doc, "edges", list)
+    for i, e in enumerate(rows):
         if not (isinstance(e, list) and len(e) == 2
                 and type(e[0]) is int and type(e[1]) is int):
             raise SemanticError(f"edge {clip(str(e))} must be a pair of vertex ids")
-        edges.add((e[0], e[1]))
+        rows[i] = e[0], e[1]
     return ConnGraph(
         vertices=_ids(doc, "vertices"),
-        edges=frozenset(edges),
+        edges=frozenset(rows),
         root=_field(doc, "root", int),
     )
 
 
 def parse_graph(text: str) -> ConnGraph:
-    return graph_from_doc(_load_doc(text))
+    doc = _load_doc(text)
+    del text
+    return graph_from_doc(doc)
 
 
 def format_graph(g: ConnGraph) -> str:
@@ -395,42 +403,42 @@ def parse_kiss2(text: str) -> Fsm:
     if sum(1 << ibits.count("-") for _, (ibits, *_) in lines) > KISS2_MAX_TRANSITIONS:
         raise CapExceededError("don't-care input bits expand past the cap of "
                                f"{KISS2_MAX_TRANSITIONS} transitions")
-    name_to_id: dict[str, int] = {}
+    ids: dict[str, int] = {}        # state name -> id, in order of first appearance
+    if headers.get(".r"):
+        ids[headers[".r"]] = 0
+    inputs = tuple(format(i, f"0{ni}b") for i in range(2 ** ni)) if ni else ("",)
 
-    def state_id(name: str) -> int:
-        if name not in name_to_id:
-            name_to_id[name] = len(name_to_id)
-        return name_to_id[name]
-
-    if ".r" in headers and headers[".r"]:
-        state_id(headers[".r"])
-
-    def expand(bits: str) -> list[str]:
+    def expand(bits: str):
+        # A field's input symbols in ascending order; a bit pattern's are the alphabet's
         if len(bits) != ni:
             raise SemanticError(f"input field {clip(bits)!r} does not match .i {ni}")
-        pats = [""]
-        for b in bits:
-            choices = "01" if b == "-" else b
-            pats = [p + c for p in pats for c in choices]
-        return pats
+        if bits.strip("01-"):   # symbols outside the alphabet, which ``Fsm`` refuses
+            pats = [""]
+            for b in bits:
+                pats = [p + c for p in pats for c in ("01" if b == "-" else b)]
+            return pats
+        codes = [int(bits.replace("-", "0"), 2)]
+        for i, b in enumerate(reversed(bits)):      # low bits first: codes stay ascending
+            if b == "-":
+                codes = [c + d for d in (0, 1 << i) for c in codes]
+        return map(inputs.__getitem__, codes)
 
     transitions = {}
     outputs = set()
     for lineno, (ibits, src, dst, obits) in lines:
-        for pat in expand(ibits):
-            key = (state_id(src), pat)
-            if key in transitions:
+        s = ids.setdefault(src, len(ids))
+        move = (ids.setdefault(dst, len(ids)), obits)       # one per line, shared by its steps
+        for sym in expand(ibits):
+            if (s, sym) in transitions:
                 raise SemanticError(f"duplicate transition at line {lineno}")
-            transitions[key] = (state_id(dst), obits)
-            outputs.add(obits)
-    if not name_to_id:
+            transitions[s, sym] = move
+        outputs.add(obits)
+    if not ids:
         raise SemanticError("no states in document")
-    reset = 0
-    inputs = tuple(format(i, f"0{ni}b") for i in range(2 ** ni)) if ni else ("",)
     return Fsm(
-        states=frozenset(name_to_id.values()),
+        states=frozenset(ids.values()),
         inputs=inputs,
         outputs=tuple(sorted(outputs)),
-        reset=reset,
+        reset=0,
         transitions=transitions,
     )

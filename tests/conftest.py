@@ -5,6 +5,7 @@ constructions wherever it serves as an oracle.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -95,6 +96,18 @@ def oracle_doc(m: Fsm) -> dict:
             for (src, sym), (dst, out) in sorted(m.transitions.items())
         ],
     }
+
+
+def traced_memory(f, arg) -> tuple[int, int]:
+    """Bytes that ``f(arg)`` allocates and keeps (its result is alive when
+    measured), and its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = f(arg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, peak
 
 
 def all_strings(inputs, n: int):

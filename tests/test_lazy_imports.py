@@ -33,7 +33,7 @@ EXPORTED = {
     "scanchain": "TapSession Transcript decode_transcript permutation_by_index "
                  "scan_watermark_test",
     "verify": "FsmOracle Package Secret Verdict adversarial_extension "
-              "bounded_equiv full_equiv informed_attack watermark_test",
+              "bounded_equiv informed_attack watermark_test",
     "pipeline": "build_decomp_bundle build_matrix_bundle state_bits",
 }
 

@@ -23,7 +23,7 @@ from fsmwm import (
     step,
 )
 from fsmwm.machine import _reachable
-from conftest import all_strings, random_graph, random_machine
+from conftest import all_strings, make_chain_host, random_graph, random_machine, traced_memory
 
 
 def test_fsm_rejects_unknown_reset():
@@ -176,6 +176,46 @@ def test_kiss2_rejects_duplicates():
     bad = ".i 1\n.o 1\n0 a b 1\n0 a b 1\n"
     with pytest.raises(SemanticError):
         parse_kiss2(bad)
+
+
+@pytest.mark.parametrize("fields, symbol", [
+    ("0x a b 1\n", "'0x'"),
+    ("x- a b 1\n", "'x0'"),                         # the first pattern a don't-care gives
+    ("00 a b 1\n-2 a a 0\n", "'02'"),
+    ("x- a b 1\n-- a b 1\n1_ a a 0\n", "'x0'"),     # the first line outside the alphabet
+])
+def test_kiss2_field_outside_the_alphabet_names_its_symbol(fields, symbol):
+    with pytest.raises(SemanticError) as e:
+        parse_kiss2(".i 2\n.o 1\n" + fields)
+    assert str(e.value) == f"unknown input symbol {symbol}"
+
+
+@pytest.mark.parametrize("fields, line", [
+    ("x- a b 1\nx1 a a 0\n", 4),         # two fields outside the alphabet that overlap
+    ("x- a b 1\n1- a b 1\n11 a a 0\n", 5),
+])
+def test_kiss2_duplicate_is_found_before_an_unknown_symbol(fields, line):
+    with pytest.raises(SemanticError) as e:
+        parse_kiss2(".i 2\n.o 1\n" + fields)
+    assert str(e.value) == f"duplicate transition at line {line}"
+
+
+def test_kiss2_keeps_one_move_per_line():
+    # 4 all-don't-care lines of .i 12: 16,384 steps over one 4,096-symbol
+    # alphabet.  A step is one key tuple and dict slot; its input symbol is
+    # the alphabet's string and its move the line's one tuple.
+    text = ".i 12\n.o 1\n" + "".join(f"{'-' * 12} s{j} s{j} 1\n" for j in range(4))
+    kept, _ = traced_memory(parse_kiss2, text)
+    assert kept / (4 << 12) <= 150
+
+
+def test_parse_fsm_holds_each_value_once():
+    # Each row is released once stored, and the text once decoded: the
+    # reader peaks near the decoded document, not at document plus machine.
+    text = format_fsm(make_chain_host(1 << 12))
+    _, peak = traced_memory(parse_fsm, text)
+    _, decoded = traced_memory(json.loads, text)
+    assert peak <= 1.2 * decoded
 
 
 def test_kiss2_rejects_short_line():

@@ -1,5 +1,6 @@
 """Verification protocol, bundles, probing attacks and equivalence."""
 
+import json
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from fsmwm import (
     branch_input_bits,
     build_decomp_bundle,
     build_matrix_bundle,
-    full_equiv,
     informed_attack,
     run,
     watermark_test,
@@ -28,7 +28,7 @@ from fsmwm.verify import (
     parse_secret,
     reachable_outputs,
 )
-from conftest import all_strings, make_host8, random_machine
+from conftest import all_strings, make_host8, random_machine, traced_memory
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,15 @@ def fixed_bundle():
 @pytest.fixture(scope="module")
 def optimal_bundle():
     return build_decomp_bundle(make_host8(), OPTIMAL_N, OPTIMAL_K, mode="optimal")
+
+
+def test_parse_secret_holds_each_value_once():
+    # the m = 128 decoder's 16,384 rows are released as the step map grows
+    _, secret, _ = build_matrix_bundle(make_host8(), 128, key_seed=2718)
+    text = format_secret(secret)
+    _, peak = traced_memory(parse_secret, text)
+    _, decoded = traced_memory(json.loads, text)
+    assert peak <= 1.2 * decoded
 
 
 def test_package_round_trip(matrix_bundle):
@@ -194,7 +203,7 @@ def test_informed_attack_keeps_a_branch_that_halts_after_its_first_output():
             {(0, "0"): (1, "a"), (0, "1"): (1, "b")})
     rebuilt = informed_attack(FsmOracle(m, 1), 1)
     assert bounded_equiv(m, rebuilt, 1)
-    assert full_equiv(m, rebuilt)
+    assert bounded_equiv(m, rebuilt, len(m.states) * len(rebuilt.states) + 1)
 
 
 def test_informed_attack_twice_on_one_oracle(fixed_bundle):
@@ -312,7 +321,7 @@ def test_bounded_equiv_detects_divergence():
             {(0, "0"): (1, "x"), (1, "0"): (1, "y")})
     assert bounded_equiv(a, b, 1)
     assert not bounded_equiv(a, b, 2)
-    assert not full_equiv(a, b)
+    assert not bounded_equiv(a, b, len(a.states) * len(b.states) + 1)
 
 
 def test_bounded_equiv_matches_output_strings(rng):
@@ -347,4 +356,5 @@ def test_full_equiv_structurally_different_machines():
     a = Fsm(frozenset([0]), ("0",), ("x",), 0, {(0, "0"): (0, "x")})
     b = Fsm(frozenset([0, 1]), ("0",), ("x",), 0,
             {(0, "0"): (1, "x"), (1, "0"): (0, "x")})
-    assert full_equiv(a, b)
+    # the product bound: past it the reachable product has no unseen pair
+    assert bounded_equiv(a, b, len(a.states) * len(b.states) + 1)
