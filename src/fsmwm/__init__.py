@@ -16,11 +16,11 @@ from . import errors
 
 # Each exported name by the module that defines it.
 _EXPORTS = {
-    "errors": "AlphabetMismatchError CapExceededError DimensionError FsmwmError HaltError "
+    "errors": "AlphabetMismatchError CapExceededError DimensionError FsmwmError "
               "HashCollisionError InconsistentTranscriptError NoNontrivialDecompositionError "
               "PartitionError SemanticError SyntaxError_",
     "machine": "ConnGraph Fsm connectivity_graph format_fsm format_graph parse_fsm "
-               "parse_graph parse_kiss2 run run_states standard_cg_machine step",
+               "parse_graph parse_kiss2 run run_states standard_cg_machine",
     "reduction": "LprkSpec Path add_shift_hash branch_input_bits find_branch_width "
                  "longest_simple_path lpr lpr_k renumber renumber_inverse repeat_path "
                  "sized_path truncate",

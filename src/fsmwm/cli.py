@@ -20,7 +20,6 @@ from .machine import (
     fsm_from_doc,
     graph_from_doc,
     parse_fsm,      # not called here: perfbench/test_perfbench.py reads cli.parse_fsm
-    parse_graph,
     parse_kiss2,
     standard_cg_machine,
 )
@@ -42,6 +41,11 @@ def _read(path: str) -> str:
 def _write(path: str, text: str):
     with _open(path, "w") as f:
         f.write(text)
+
+
+def _doc(path: str, kind: str | None = None) -> dict:
+    """The JSON document in a file; its text is freed when this returns."""
+    return _load_doc(_read(path), kind)
 
 
 def _load(path: str, graph: bool = False):
@@ -176,7 +180,7 @@ def _parse_args(argv):
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    config = _load_doc(_read(args.config))
+    config = _doc(args.config)
     known = {a.dest for sp in subcommands.values() for a in sp._actions if a.option_strings}
     for key in sorted(config.keys() - known):
         parser.error(f"--config entry {key!r} names no flag of any subcommand")
@@ -216,7 +220,7 @@ def _run(args) -> int:
         _write(args.out, format_fsm(m))
     elif args.cmd == "encrypt-matrix":
         from .matrixcrypt import build_watermark_machine, format_key, parse_key, random_perm_key
-        g = parse_graph(_read(args.graph))
+        g = graph_from_doc(_doc(args.graph))
         key = parse_key(_read(args.key)) if args.key else \
             random_perm_key(len(g.vertices), args.seed)
         _write(args.out_machine, format_fsm(build_watermark_machine(key, g)))
@@ -224,7 +228,7 @@ def _run(args) -> int:
             _write(args.out_key, format_key(key))
     elif args.cmd == "build-decrypt":
         from .matrixcrypt import build_decryption_machine, parse_key
-        g = parse_graph(_read(args.graph))
+        g = graph_from_doc(_doc(args.graph))
         key = parse_key(_read(args.key))
         _write(args.out, format_fsm(build_decryption_machine(key, g)))
     elif args.cmd == "decompose":
@@ -233,7 +237,7 @@ def _run(args) -> int:
         m = _load(args.machine)
         if args.mode == "fixed":
             if args.rows is None or args.branches is None:
-                raise FsmwmError("fixed mode needs --rows and --branches")
+                _parser()[1][args.cmd].error("fixed mode needs --rows and --branches")
             pair = fixed_partitions_lprk(m, args.rows, args.branches)
         else:
             pair = minimal_decomposition(m, cap=args.cap)
@@ -246,7 +250,7 @@ def _run(args) -> int:
         host = _load(args.host)
         if args.mode == "matrix":
             if args.size is None:
-                raise FsmwmError("matrix mode needs --size")
+                _parser()[1][args.cmd].error("matrix mode needs --size")
             from .matrixcrypt import format_key
             from .pipeline import build_matrix_bundle
             package, secret, key = build_matrix_bundle(
@@ -255,7 +259,7 @@ def _run(args) -> int:
                 _write(args.out_key, format_key(key))
         else:
             if args.rows is None or args.branches is None:
-                raise FsmwmError("decomposition modes need --rows and --branches")
+                _parser()[1][args.cmd].error("decomposition modes need --rows and --branches")
             from .pipeline import build_decomp_bundle
             package, secret = build_decomp_bundle(
                 host, args.rows, args.branches, mode=args.mode,
@@ -263,9 +267,9 @@ def _run(args) -> int:
         _write(args.out_package, format_package(package))
         _write(args.out_secret, format_secret(secret))
     elif args.cmd == "verify":
-        from .verify import parse_package, parse_secret, watermark_test
-        package = parse_package(_read(args.package))
-        secret = parse_secret(_read(args.secret))
+        from .verify import package_from_doc, secret_from_doc, watermark_test
+        package = package_from_doc(_doc(args.package, "package"))
+        secret = secret_from_doc(_doc(args.secret, "secret"))
         verdict = watermark_test(package, secret, args.branch, args.length)
         sys.stdout.write(verdict.report())
         return 0 if verdict.passed else 1

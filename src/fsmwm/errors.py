@@ -30,10 +30,6 @@ class DimensionError(FsmwmError):
     """Matrix / key / root dimension mismatch."""
 
 
-class HaltError(FsmwmError):
-    """Step attempted on an undefined (state, input) pair."""
-
-
 class HashCollisionError(FsmwmError):
     """A branch-state width z narrower than find_branch_width(n, k), where
     the n*k branch ids would wrap onto each other."""

@@ -12,7 +12,7 @@ from collections import deque
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import CapExceededError, HaltError, SemanticError, SyntaxError_, clip
+from .errors import CapExceededError, SemanticError, SyntaxError_, clip
 
 KISS2_MAX_INPUT_BITS = 16   # .i above this would build over 65,536 input symbols
 KISS2_MAX_TRANSITIONS = 1 << 20     # steps the don't-care input bits may expand to
@@ -22,19 +22,15 @@ class _Record:
     """Base of the value types.  Fields are a class's annotations, in order,
     and defaults its class attributes.  A value is built by position or
     keyword and checked by ``__post_init__``; it compares, hashes and prints
-    by its fields alone, and is immutable, or mutable and unhashable in a
-    class declared ``frozen=False``.  The methods are shared, not generated
-    per class, which costs each command milliseconds at start-up."""
+    by its fields alone, and refuses assignment to them.  The methods are
+    shared: generating them per class costs each command milliseconds."""
 
     _fields, _names, _defaults = (), frozenset(), {}
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._names = frozenset(cls._fields)
         cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -169,16 +165,8 @@ def standard_cg_machine(g: ConnGraph) -> Fsm:
     )
 
 
-def step(m: Fsm, state: int, sym: str) -> tuple[int, str]:
-    """One deterministic step; raises HaltError on an undefined pair."""
-    move = m.transitions.get((state, sym))
-    if move is None:
-        raise HaltError(f"no transition from state {state} on input {sym!r}")
-    return move
-
-
 def run(m: Fsm, symbols) -> tuple[list[str], int]:
-    """Left fold of ``step`` from reset; truncates at the first hole.
+    """Drive the machine from reset; truncates at the first hole.
 
     Returns the emitted outputs and the number of inputs consumed.
     """
@@ -332,9 +320,7 @@ def fsm_from_doc(doc: dict) -> Fsm:
 
 def parse_fsm(text: str) -> Fsm:
     """Parse the JSON-shaped interchange document."""
-    doc = _load_doc(text)
-    del text                    # only the document is held from here on
-    return fsm_from_doc(doc)
+    return fsm_from_doc(_load_doc(text))
 
 
 def format_fsm(m: Fsm) -> str:
@@ -357,9 +343,7 @@ def graph_from_doc(doc: dict) -> ConnGraph:
 
 
 def parse_graph(text: str) -> ConnGraph:
-    doc = _load_doc(text)
-    del text
-    return graph_from_doc(doc)
+    return graph_from_doc(_load_doc(text))
 
 
 def format_graph(g: ConnGraph) -> str:

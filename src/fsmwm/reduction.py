@@ -82,10 +82,10 @@ def repeat_path(p: Path, j: int) -> Path:
 
 
 def _period(seq: tuple[int, ...]) -> int:
-    for i in range(1, len(seq) + 1):
+    for i in range(1, len(seq)):
         if len(seq) % i == 0 and all(seq[t] == seq[t % i] for t in range(len(seq))):
             return i
-    raise FsmwmError("not a repeated path")  # unreachable
+    return len(seq)
 
 
 def _stride(v_star: int, period: tuple[int, ...]) -> int:

@@ -79,7 +79,7 @@ def int_to_bits(value: int, width: int) -> list[int]:
 # TAP session
 # ---------------------------------------------------------------------------
 
-class Transcript(_Record, frozen=False):
+class Transcript(_Record):
     """A session's serial log: the header and, per window of cycles, a line
     template (a ``%d`` per cycle index) and cycle count.  It iterates as text
     a window at a time; ``records`` parses the cycles back only when asked."""
@@ -92,7 +92,7 @@ class Transcript(_Record, frozen=False):
 
     def __post_init__(self):
         if self.windows is None:
-            self.windows = []
+            self.__dict__["windows"] = []
 
     def __iter__(self):
         yield f"{self.n_b} {self.chi} {self.omega} {self.seed}\n"
@@ -246,7 +246,7 @@ class TapSession:
         return self._clock(tms, [tdi])[0]
 
 
-class _Frames(_Record, frozen=False):
+class _Frames(_Record):
     """One frame per input value, clocked afresh on each pass from ``opening()``:
     Shift the register out as the permuted next frame feeds in, Assert, Latch.
     From Latch, a later frame depends only on its value and the latched frame."""

@@ -58,11 +58,9 @@ def format_package(p: Package) -> str:
     })
 
 
-def parse_package(text: str) -> Package:
+def package_from_doc(doc: dict) -> Package:
     """Reads ``mode``, ``watermark`` and ``tap`` only, so the ``host`` and
     ``tap.n``/``tap.k`` of packages written before are ignored."""
-    doc = _load_doc(text, "package")
-    del text                    # only the document is held from here on
     tap = _field(doc, "tap", dict)
     _check_scheme(tap)
     return Package(
@@ -71,6 +69,10 @@ def parse_package(text: str) -> Package:
         chi=_field(tap, "chi", int),
         omega=_field(tap, "omega", int),
     )
+
+
+def parse_package(text: str) -> Package:
+    return package_from_doc(_load_doc(text, "package"))
 
 
 def format_secret(s: Secret) -> str:
@@ -83,15 +85,17 @@ def format_secret(s: Secret) -> str:
     })
 
 
-def parse_secret(text: str) -> Secret:
-    doc = _load_doc(text, "secret")
-    del text
+def secret_from_doc(doc: dict) -> Secret:
     _check_scheme(doc)
     return Secret(
         mode=_field(doc, "mode", str),
         decoder=fsm_from_doc(_field(doc, "decoder", dict)),
         redux=fsm_from_doc(_field(doc, "redux", dict)),
     )
+
+
+def parse_secret(text: str) -> Secret:
+    return secret_from_doc(_load_doc(text, "secret"))
 
 
 # ---------------------------------------------------------------------------

@@ -639,13 +639,23 @@ def test_bad_input_exit_code(tmp_path):
     assert main(["extract-cg", str(kiss)]) == 3
 
 
-def test_usage_error_exit_code(host_file):
-    with pytest.raises(SystemExit) as e:
-        main(["lpr"])  # missing required --size and source
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        main(["extract-cg", host_file, "--format", "json"])  # the format is read
-    assert e.value.code == 2
+def test_usage_error_exit_code(host_file, capsys):
+    # Each prints its parser's usage line, then its message.
+    for argv, message in [
+        (["lpr"], "fsmwm lpr: error: the following arguments are required"),
+        (["extract-cg", host_file, "--format", "json"], "fsmwm: error: unrecognized arguments"),
+        (["emit-package", host_file, "--mode", "matrix"],
+         "fsmwm emit-package: error: matrix mode needs --size"),
+        (["emit-package", host_file, "--mode", "optimal", "-n", "3"],
+         "fsmwm emit-package: error: decomposition modes need --rows and --branches"),
+        (["decompose", host_file, "--mode", "fixed", "-k", "2"],
+         "fsmwm decompose: error: fixed mode needs --rows and --branches"),
+    ]:
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: " + message.split(":")[0]) and f"\n{message}" in err
 
 
 def _drop_tap(doc):

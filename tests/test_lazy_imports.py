@@ -17,11 +17,11 @@ from conftest import make_host8
 
 # Every public name of the package, by the module that defines it.
 EXPORTED = {
-    "errors": "AlphabetMismatchError CapExceededError DimensionError FsmwmError HaltError "
+    "errors": "AlphabetMismatchError CapExceededError DimensionError FsmwmError "
               "HashCollisionError InconsistentTranscriptError NoNontrivialDecompositionError "
               "PartitionError SemanticError SyntaxError_",
     "machine": "ConnGraph Fsm connectivity_graph format_fsm format_graph parse_fsm "
-               "parse_graph parse_kiss2 run run_states standard_cg_machine step",
+               "parse_graph parse_kiss2 run run_states standard_cg_machine",
     "reduction": "LprkSpec Path add_shift_hash branch_input_bits find_branch_width "
                  "longest_simple_path lpr lpr_k renumber renumber_inverse repeat_path "
                  "sized_path truncate",

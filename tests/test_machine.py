@@ -8,7 +8,6 @@ import pytest
 from fsmwm import (
     ConnGraph,
     Fsm,
-    HaltError,
     SemanticError,
     SyntaxError_,
     connectivity_graph,
@@ -20,7 +19,6 @@ from fsmwm import (
     run,
     run_states,
     standard_cg_machine,
-    step,
 )
 from fsmwm.machine import _reachable
 from conftest import all_strings, make_chain_host, random_graph, random_machine, traced_memory
@@ -77,13 +75,6 @@ def test_standard_machine_branch_choice_ordered_by_target():
     assert m.transitions == {(0, "0"): (2, "0"), (0, "1"): (5, "0")}
 
 
-def test_step_raises_on_hole():
-    g = ConnGraph(frozenset([1, 2]), frozenset([(1, 2)]), 1)
-    m = standard_cg_machine(g)
-    with pytest.raises(HaltError):
-        step(m, 2, "0")
-
-
 def test_run_states_includes_reset():
     g = ConnGraph(frozenset([1, 2, 3]), frozenset([(1, 2), (2, 3)]), 1)
     m = standard_cg_machine(g)
@@ -104,7 +95,7 @@ def test_reachable_walk_is_breadth_first(rng):
             key for key in m.transitions if key[0] in dist)
         for depth, s, sym, nxt, out in steps:
             assert depth == dist[s]
-            assert (nxt, out) == step(m, s, sym)
+            assert (nxt, out) == m.transitions[s, sym]
         depths = [depth for depth, *_ in steps]
         assert depths == sorted(depths)
 

@@ -307,7 +307,7 @@ def test_frame_shift_matches_cycle_shift(rng):
             for tms, tdi in lead:
                 session.tap_step(tms, tdi)
         frames, cycles = sessions
-        frames.transcript.windows = list(scanchain._Frames(lambda: frames, values))
+        frames.transcript.windows[:] = list(scanchain._Frames(lambda: frames, values))
         assert frames.transcript.records == _drive_by_cycles(cycles, values).records
         assert (frames.mstate, list(frames.chain), frames.tap_state) == \
             (cycles.mstate, list(cycles.chain), cycles.tap_state)

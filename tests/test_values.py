@@ -1,6 +1,6 @@
 """Value semantics of the library's record types: construction by position
 or keyword, the checks each one runs, equality, hashing, printing and
-immutability."""
+immutability; and the refusals of the functions that build them."""
 
 import pytest
 
@@ -12,13 +12,21 @@ from fsmwm import (
     LprkSpec,
     Partition,
     PartitionError,
+    PartitionPair,
     Path,
     PermKey,
     SemanticError,
     Transcript,
     Verdict,
+    build_decomp_bundle,
+    build_dependent,
+    parse_fsm,
+    parse_kiss2,
+    random_perm_key,
+    renumber_inverse,
 )
-from conftest import make_host8
+from fsmwm.reduction import chain_of
+from conftest import make_chain_host, make_host8
 
 
 def test_repr_names_every_field_in_order():
@@ -73,8 +81,8 @@ def test_transcript_is_mutable_and_unhashable():
     assert t.windows == [] and t.windows is not u.windows
     t.windows.append(("%d 1 0 0 Shift\n", 1))
     assert t != u
-    t.seed = 5
-    assert t.seed == 5
+    with pytest.raises(AttributeError):
+        t.seed = 5
     with pytest.raises(TypeError):
         hash(u)
 
@@ -125,3 +133,32 @@ def test_each_check_refuses_by_position_and_by_keyword(cls, fields, error, messa
         cls(*fields.values())
     with pytest.raises(error, match=message):
         cls(**fields)
+
+
+_CHAIN3 = make_chain_host(3)            # 0 -> 1 -> 2, which loops
+_WHOLE = Partition.of([[0, 1, 2]])
+
+CALL_REFUSALS = [
+    (lambda: build_dependent(_CHAIN3, PartitionPair(_WHOLE, Partition.of([[0, 1], [2]]))),
+     PartitionError, "dependent partition is not input-preserving"),
+    (lambda: build_dependent(_CHAIN3, PartitionPair(_WHOLE, _WHOLE)),
+     PartitionError, "partition pair is not orthogonal"),
+    (lambda: parse_fsm('{"states": [0], "inputs": [0], "outputs": [], "reset": 0, '
+                       '"transitions": []}'), SemanticError, "inputs must be strings"),
+    (lambda: parse_kiss2(".i 1\n.o 1\n"), SemanticError, "no states in document"),
+    (lambda: random_perm_key(0, 1), DimensionError, "dimension must be >= 1"),
+    (lambda: build_decomp_bundle(make_host8(), 2, 2, mode="weird"),
+     FsmwmError, "unknown decomposition mode 'weird'"),
+    (lambda: renumber_inverse(Path((4,)), 5, Path((1, 2))),
+     FsmwmError, "value 4 not in the renumbered range"),
+    (lambda: chain_of(ConnGraph(frozenset({0, 1, 2}), frozenset({(0, 1), (0, 2)}), 0)),
+     FsmwmError, "graph is not linear"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", CALL_REFUSALS,
+                         ids=[m for _, _, m in CALL_REFUSALS])
+def test_each_function_refusal_raises_its_type_and_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert type(e.value) is error and str(e.value) == message
