@@ -5,7 +5,7 @@ loads ``decompose``, a cascade bundle never loads ``matrixcrypt``."""
 
 from __future__ import annotations
 
-from .errors import CapExceededError, FsmwmError
+from .errors import FsmwmError
 from .machine import Fsm, connectivity_graph, standard_cg_machine
 from .reduction import (
     LprkSpec,
@@ -37,10 +37,7 @@ def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
                         omega: int | None = None):
     """Conceal a length-m linear reduction of the host behind a random
     permutation key.  Returns (package, secret, key)."""
-    from .matrixcrypt import (MAX_DECODER_STATES, build_decryption_machine,
-                              build_watermark_machine, random_perm_key)
-    if m > MAX_DECODER_STATES:
-        raise CapExceededError(f"a {m}-state decoder passes the cap of {MAX_DECODER_STATES}")
+    from .matrixcrypt import build_decryption_machine, build_watermark_machine, random_perm_key
     g = connectivity_graph(host)
     reduced = lpr(g, m)
     key = random_perm_key(m, key_seed)

@@ -127,8 +127,8 @@ def _compare(expected: list[str], observed: list[str]) -> Verdict:
     return Verdict(True, None, tuple(expected), tuple(observed))
 
 
-# Longest verification schedule: both runs and the verdict hold every step. A
-# verify at the cap peaks near 55 MB on host8 fixed mode, 133 MB on m = 512.
+# Longest verification schedule: both runs and the verdict hold every step. A verify
+# at the cap peaks near 55 MB on host8 fixed mode; a matrix run stops at its chain's end.
 MAX_VERIFY_LENGTH = 1 << 20
 
 

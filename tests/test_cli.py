@@ -15,7 +15,7 @@ import pytest
 import fsmwm
 from fsmwm import Fsm, cli, format_fsm, format_graph, machine, parse_fsm
 from fsmwm.cli import main
-from fsmwm.matrixcrypt import MAX_DECODER_STATES
+from fsmwm.reduction import MAX_REDUCTION_STATES
 from fsmwm.scanchain import MAX_SCAN_STEPS
 from fsmwm.verify import MAX_VERIFY_LENGTH
 from conftest import clique_with_leaves, make_chain_host, make_host8
@@ -281,25 +281,29 @@ def test_emit_package_optimal_budget_k10_exits_3(host_file, tmp_path, capsys):
     _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, "10")
 
 
-def test_emit_package_matrix_decoder_cap_exits_3(host_file, tmp_path, capsys):
+def test_emit_package_matrix_reduction_cap_exits_3(host_file, tmp_path, capsys, monkeypatch):
+    # No decoder cap: a matrix bundle is bounded by the reduction's, which
+    # is checked before the path search.
+    def search(g):
+        raise AssertionError("path search entered before the size cap")
+
+    monkeypatch.setattr("fsmwm.reduction.longest_simple_path", search)
     p, s = tmp_path / "p.json", tmp_path / "s.json"
-    assert main(["emit-package", host_file, "--mode", "matrix", "-m", str(MAX_DECODER_STATES + 1),
+    assert main(["emit-package", host_file, "--mode", "matrix", "-m", str(MAX_REDUCTION_STATES + 1),
                  "--out-package", str(p), "--out-secret", str(s)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "513-state decoder passes the cap of 512" in err
+    assert err.startswith("error:") and "a reduction of 65537 states passes the cap of 65536" in err
     assert not p.exists() and not s.exists()
 
 
-def test_build_decrypt_decoder_cap_exits_3(host_file, tmp_path, capsys):
+def test_build_decrypt_past_512_vertices_writes_3m_steps(host_file, tmp_path, capsys):
     red, key, dec = tmp_path / "red.json", tmp_path / "key.txt", tmp_path / "dec.json"
-    assert main(["lpr", host_file, "-m", str(MAX_DECODER_STATES + 1), "-o", str(red)]) == 0
+    assert main(["lpr", host_file, "-m", "513", "-o", str(red)]) == 0
     assert main(["encrypt-matrix", str(red), "--seed", "1", "--out-machine",
                  str(tmp_path / "wm.json"), "--out-key", str(key)]) == 0
-    capsys.readouterr()
-    assert main(["build-decrypt", str(red), "--key", str(key), "-o", str(dec)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "513-state decoder passes the cap of 512" in err
-    assert not dec.exists()
+    assert main(["build-decrypt", str(red), "--key", str(key), "-o", str(dec)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(json.loads(dec.read_text())["transitions"]) == 3 * 513 - 3
 
 
 def test_scan_test_and_decode(host_file, tmp_path, capsys):

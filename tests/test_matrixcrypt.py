@@ -29,6 +29,7 @@ from fsmwm import (
     trace_pair,
 )
 from fsmwm.matrixcrypt import format_key, parse_key
+from fsmwm.verify import Package, Secret, watermark_test
 from conftest import (
     all_strings,
     bool_matmul,
@@ -136,15 +137,19 @@ def test_watermark_cascade_reproduces_reduction(host8, rng):
         assert run(cascade, schedule) == run(redux, schedule)
 
 
-def _decoder_cells(key, reduced):
-    """The decoder's step map built one cell at a time, row by row."""
+def _decoder_cells(key, reduced, echo_rows=None):
+    """The decoder's step map built one cell at a time, row by row: the
+    dense form, where every row echoes, or only the rows at the given
+    chain indices echo and every other cell is a hole."""
     trace = trace_pair(reduced, key)
     chain = [u for u, _ in trace]
     transitions = {}
     for t, u in enumerate(chain):
         for _, v in trace:
-            nxt = chain[t + 1] if t + 1 < len(chain) and v == trace[t + 1][1] else u
-            transitions[u, str(v)] = (nxt, str(nxt))
+            if t + 1 < len(chain) and v == trace[t + 1][1]:
+                transitions[u, str(v)] = (chain[t + 1], str(chain[t + 1]))
+            elif echo_rows is None or t in echo_rows:
+                transitions[u, str(v)] = (u, str(u))
     return transitions
 
 
@@ -154,9 +159,50 @@ def test_decoder_matches_cell_by_cell_oracle(host8):
         reduced = lpr(g, m)
         for seed in (0, 1, 2718, m):
             key = random_perm_key(m, seed)
-            want = _decoder_cells(key, reduced)
+            want = _decoder_cells(key, reduced, echo_rows={0, max(0, m - 2)})
             got = build_decryption_machine(key, reduced).transitions
             assert got == want and list(got) == list(want), (m, seed)
+            assert len(got) == (3 * m - 3 if m >= 3 else m)
+            assert got.items() <= _decoder_cells(key, reduced).items()
+
+
+def _single_faults(m: Fsm):
+    """Every machine that differs from m in one step's output or one
+    step's next state."""
+    for cell, (dst, out) in m.transitions.items():
+        for o in m.outputs:
+            if o != out:
+                yield m.replace(transitions={**m.transitions, cell: (dst, o)})
+        for s in sorted(m.states):
+            if s != dst:
+                yield m.replace(transitions={**m.transitions, cell: (s, out)})
+
+
+def test_verdicts_match_the_dense_decoder(host8):
+    # The holes change only a FAIL's observed outputs: the verdict, the
+    # divergence index and the expected outputs are those of the dense
+    # decoder on the genuine watermark and on every single fault of it.
+    g = connectivity_graph(host8)
+    cases = 0
+    for m in range(2, 14):
+        reduced = lpr(g, m)
+        redux = standard_cg_machine(reduced)
+        for seed in (0, 1, 7):
+            key = random_perm_key(m, seed)
+            watermark = build_watermark_machine(key, reduced)
+            decoder = build_decryption_machine(key, reduced)
+            dense_decoder = decoder.replace(transitions=_decoder_cells(key, reduced))
+            secret = Secret(mode="matrix", decoder=decoder, redux=redux)
+            dense_secret = Secret(mode="matrix", decoder=dense_decoder, redux=redux)
+            for wm in (watermark, *_single_faults(watermark)):
+                package = Package(mode="matrix", watermark=wm, chi=1, omega=8)
+                for length in (1, m - 1, m, m + 1, m + 3):
+                    got = watermark_test(package, secret, 0, length)
+                    want = watermark_test(package, dense_secret, 0, length)
+                    assert (got.passed, got.divergence_index, got.expected) == \
+                        (want.passed, want.divergence_index, want.expected), (m, seed, length)
+                    cases += 1
+    assert cases == 19_680
 
 
 def test_wrong_key_cascade_diverges(host8):

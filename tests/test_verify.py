@@ -51,8 +51,8 @@ def optimal_bundle():
 
 
 def test_parse_secret_holds_each_value_once():
-    # the m = 128 decoder's 16,384 rows are released as the step map grows
-    _, secret, _ = build_matrix_bundle(make_host8(), 128, key_seed=2718)
+    # the m = 2048 secret's 8,188 rows are released as the step maps grow
+    _, secret, _ = build_matrix_bundle(make_host8(), 2048, key_seed=2718)
     text = format_secret(secret)
     _, peak = traced_memory(parse_secret, text)
     _, decoded = traced_memory(json.loads, text)
