@@ -11,7 +11,7 @@ import contextlib
 import functools
 import sys
 
-from .errors import FsmwmError
+from .errors import LATTICE_MAX_STATES, FsmwmError
 from .machine import (
     _load_doc,
     connectivity_graph,
@@ -110,7 +110,7 @@ def _build_parser():
     sp.add_argument("--mode", choices=["fixed", "optimal"], default="fixed")
     sp.add_argument("-n", "--rows", type=int, help="rows (fixed mode)")
     sp.add_argument("-k", "--branches", type=int, help="branches (fixed mode)")
-    sp.add_argument("--cap", type=int, default=12,
+    sp.add_argument("--cap", type=int, default=LATTICE_MAX_STATES,
                     help="state cap for the exhaustive lattice search")
     sp.add_argument("--out-pi-i", default="pi_i.txt")
     sp.add_argument("--out-pi-d", default="pi_d.txt")
@@ -125,7 +125,7 @@ def _build_parser():
     sp.add_argument("-n", "--rows", type=int)
     sp.add_argument("-k", "--branches", type=int)
     sp.add_argument("--key-seed", type=int, default=DEFAULT_KEY_SEED)
-    sp.add_argument("--cap", type=int, default=12)
+    sp.add_argument("--cap", type=int, default=LATTICE_MAX_STATES)
     sp.add_argument("--omega", type=int, help="state-field width override")
     sp.add_argument("--out-package", default="package.json")
     sp.add_argument("--out-secret", default="secret.json")
@@ -281,9 +281,10 @@ def _run(args) -> int:
         with _open(args.out, "w") as f:
             f.writelines(t)                     # clocked and written a frame at a time
     elif args.cmd == "decode-scan":
-        from .scanchain import decode_transcript
+        from .scanchain import _BATCH_CHARS, decode_transcript
         with _open(args.transcript) as f:       # whole lines, about 16 kB at a time
-            setting, payload = decode_transcript(iter(lambda: f.read(1 << 14) + f.readline(), ""))
+            batches = iter(lambda: f.read(_BATCH_CHARS) + f.readline(), "")
+            setting, payload = decode_transcript(batches)
         sys.stdout.write(f"setting {setting}\n" + "".join(f"{s} {v}\n" for s, v in payload))
     elif args.cmd == "attack":
         from .verify import FsmOracle, informed_attack

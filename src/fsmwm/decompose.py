@@ -9,6 +9,8 @@ from functools import cache
 from operator import indexOf
 
 from .errors import (
+    LATTICE_MAX_STATES,
+    SP_SEARCH_BUDGET,
     CapExceededError,
     FsmwmError,
     NoNontrivialDecompositionError,
@@ -74,17 +76,6 @@ class PartitionPair(_Record):
     pi_d: Partition
 
 
-# Work units one lattice search may spend: every state placement the
-# enumeration tries plus every orthogonality probe of the pair search.
-# The densest host8 shape it answers, the star (1, 9), spends 811,302;
-# the star (1, 10) passes it in the pair probes, (1, 11) while enumerating.
-SP_SEARCH_BUDGET = 1 << 20
-
-
-def _over_budget() -> CapExceededError:
-    return CapExceededError(f"lattice search passed its budget of {SP_SEARCH_BUDGET} steps")
-
-
 def _sp_tables(m: Fsm, states) -> tuple[list[int], list[list]]:
     """Per state index i: the inputs it defines, as a bit mask, and the
     steps ``(a, x, c)`` (state a goes to state c under input number x)
@@ -132,9 +123,7 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[tuple, list[tuple], int]:
     states = tuple(sorted(m.states))
     n = len(states)
     if n > max_states:
-        raise CapExceededError(
-            f"machine has {n} states; exhaustive lattice search capped at {max_states}"
-        )
+        raise CapExceededError(f"a lattice search over {n} states", max_states)
     domains, steps = _sp_tables(m, states)
     preds = [[(a, x) for a, x, c in s if c == i and a < i] for i, s in enumerate(steps)]
     width = len(m.inputs)
@@ -158,7 +147,7 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[tuple, list[tuple], int]:
         blocks = forced or range(top + 2)
         placements += len(blocks)
         if placements > SP_SEARCH_BUDGET:
-            raise _over_budget()
+            raise CapExceededError(f"a lattice search of {placements} steps", SP_SEARCH_BUDGET)
         for b in blocks:
             if b > top:
                 block_domain[b] = domains[i]
@@ -186,7 +175,7 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[tuple, list[tuple], int]:
     return states, found, placements
 
 
-def enumerate_sp_partitions(m: Fsm, max_states: int = 12) -> list[Partition]:
+def enumerate_sp_partitions(m: Fsm, max_states: int = LATTICE_MAX_STATES) -> list[Partition]:
     """Every input-preserving partition, in restricted-growth order.
     Refuses machines above the cap, and a search past
     ``SP_SEARCH_BUDGET``: the lattice can grow with the Bell numbers."""
@@ -215,7 +204,7 @@ def _ranked(assigns) -> list:
     return ranked
 
 
-def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
+def minimal_decomposition(m: Fsm, cap: int = LATTICE_MAX_STATES) -> PartitionPair:
     """Exhaustive lattice search for the orthogonal pair with the fewest
     total blocks; trivial pairs (involving the singleton or the one-block
     partition) are excluded.  Deterministic tie-break on block signatures.
@@ -253,7 +242,8 @@ def minimal_decomposition(m: Fsm, cap: int = 12) -> PartitionPair:
                 j = indexOf(map(mask1.__and__, masks), 0)
                 spent += min(j + 1, len(partners))
                 if spent > SP_SEARCH_BUDGET:
-                    raise _over_budget()
+                    raise CapExceededError(f"a lattice search of {spent} steps",
+                                           SP_SEARCH_BUDGET)
                 if j < len(partners):
                     best = (key1, a1, partners[j][3])
         if best is not None:

@@ -12,10 +12,8 @@ from collections import deque
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import CapExceededError, SemanticError, SyntaxError_, clip
-
-KISS2_MAX_INPUT_BITS = 16   # .i above this would build over 65,536 input symbols
-KISS2_MAX_TRANSITIONS = 1 << 20     # steps the don't-care input bits may expand to
+from .errors import (KISS2_MAX_INPUT_BITS, KISS2_MAX_TRANSITIONS, CapExceededError,
+                     SemanticError, SyntaxError_, clip)
 
 
 class _Record:
@@ -381,12 +379,11 @@ def parse_kiss2(text: str) -> Fsm:
         raise SemanticError(f".i must be a non-negative integer, not {clip(width)!r}")
     # The length first: int() refuses a string of over 4,300 digits.
     if len(width.lstrip("0")) > 2 or int(width) > KISS2_MAX_INPUT_BITS:
-        raise CapExceededError(f".i {clip(width)} passes the cap of "
-                               f"{KISS2_MAX_INPUT_BITS} input bits")
+        raise CapExceededError(f"a KISS2 .i of {clip(width)} bits", KISS2_MAX_INPUT_BITS)
     ni = int(width)
-    if sum(1 << ibits.count("-") for _, (ibits, *_) in lines) > KISS2_MAX_TRANSITIONS:
-        raise CapExceededError("don't-care input bits expand past the cap of "
-                               f"{KISS2_MAX_TRANSITIONS} transitions")
+    steps = sum(1 << ibits.count("-") for _, (ibits, *_) in lines)
+    if steps > KISS2_MAX_TRANSITIONS:
+        raise CapExceededError(f"a KISS2 file of {steps} steps", KISS2_MAX_TRANSITIONS)
     ids: dict[str, int] = {}        # state name -> id, in order of first appearance
     if headers.get(".r"):
         ids[headers[".r"]] = 0

@@ -5,7 +5,7 @@ loads ``decompose``, a cascade bundle never loads ``matrixcrypt``."""
 
 from __future__ import annotations
 
-from .errors import FsmwmError
+from .errors import LATTICE_MAX_STATES, FsmwmError
 from .machine import Fsm, connectivity_graph, standard_cg_machine
 from .reduction import (
     LprkSpec,
@@ -51,7 +51,7 @@ def build_matrix_bundle(host: Fsm, m: int, key_seed: int,
 
 
 def build_decomp_bundle(host: Fsm, n: int, k: int, mode: str = "fixed",
-                        cap: int = 12, omega: int | None = None):
+                        cap: int = LATTICE_MAX_STATES, omega: int | None = None):
     """Conceal a k-branch reduction as a two-machine cascade.
 
     ``mode`` picks the decomposition: "fixed" uses the known column/row

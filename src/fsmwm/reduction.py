@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import CapExceededError, FsmwmError, HashCollisionError
+from .errors import (MAX_REDUCTION_STATES, PATH_SEARCH_BUDGET, CapExceededError, FsmwmError,
+                     HashCollisionError)
 from .machine import ConnGraph, Fsm, _reachable, _Record
 
 
@@ -21,13 +22,6 @@ class Path(_Record):
 
     def __len__(self):
         return len(self.vertices)
-
-
-# Search steps longest_simple_path may take.  The search stays
-# exponential when no simple path covers the root's reachable set (a
-# root linked to a k-clique whose vertices each lead to a leaf of their
-# own needs about 1.1 million steps at k = 8).
-PATH_SEARCH_BUDGET = 1 << 20
 
 
 def longest_simple_path(g: ConnGraph) -> Path:
@@ -69,9 +63,8 @@ def longest_simple_path(g: ConnGraph) -> Path:
             size = shared + len(tail)
             if len(stack) > size or (len(stack) == size and stack[shared] > tail[-1]):
                 shared, tail = len(stack), []
-    raise CapExceededError(
-        f"longest simple path search passed its budget of {PATH_SEARCH_BUDGET} steps"
-    )
+    raise CapExceededError(f"a longest simple path search of {PATH_SEARCH_BUDGET + 1} steps",
+                           PATH_SEARCH_BUDGET)
 
 
 def repeat_path(p: Path, j: int) -> Path:
@@ -140,21 +133,11 @@ def sized_path(p: Path, m: int) -> Path:
     return truncate(renumber(repeat_path(p, j), max(p.vertices)), m)
 
 
-# Most states lpr (m) and lpr_k (n*k) build; a larger request exits 3
-# instead of building the machine.
-MAX_REDUCTION_STATES = 1 << 16
-
-
-def _check_size(states: int):
-    if states > MAX_REDUCTION_STATES:
-        raise CapExceededError(
-            f"a reduction of {states} states passes the cap of {MAX_REDUCTION_STATES}")
-
-
 def lpr(g: ConnGraph, m: int) -> ConnGraph:
     """Linear reduction: the sized longest simple path as a rooted chain.
     Raises CapExceededError when m passes ``MAX_REDUCTION_STATES``."""
-    _check_size(m)
+    if m > MAX_REDUCTION_STATES:
+        raise CapExceededError(f"a reduction of {m} states", MAX_REDUCTION_STATES)
     path = sized_path(longest_simple_path(g), m)
     edges = frozenset(zip(path.vertices, path.vertices[1:]))
     return ConnGraph(
@@ -234,7 +217,8 @@ def lpr_k(g: ConnGraph, shape: LprkSpec) -> Fsm:
     HashCollisionError when z is narrower than ``find_branch_width(n, k)``.
     """
     n, k, z = shape.n, shape.k, shape.z
-    _check_size(n * k)
+    if n * k > MAX_REDUCTION_STATES:
+        raise CapExceededError(f"a reduction of {n * k} states", MAX_REDUCTION_STATES)
     if z < find_branch_width(n, k):
         raise HashCollisionError(
             f"z={z} too narrow for {n * k} branch states; "

@@ -12,15 +12,10 @@ from functools import partial
 from itertools import chain, compress
 from operator import itemgetter
 
-from .errors import CapExceededError, FsmwmError, clip
+from .errors import MAX_REGISTER_BITS, MAX_SCAN_STEPS, CapExceededError, FsmwmError, clip
 from .machine import Fsm, _Record
 
 LATCH, SHIFT, ASSERT = "Latch", "Shift", "Assert"
-# Widest scan register, chi + omega bits: a setting of 1024! has 2,640
-# digits, under Python's 4,300-digit limit for printing an integer.
-MAX_REGISTER_BITS = 1024
-# Most steps one scan test drives, chi + omega + 2 transcript lines a step.
-MAX_SCAN_STEPS = 1 << 14
 _KEPT_LINES = 1 << 16           # most lines of repeated-frame templates a drive keeps
 _NEXT = {LATCH: SHIFT, SHIFT: ASSERT, ASSERT: LATCH}
 _BITS = frozenset("01")
@@ -140,8 +135,7 @@ def _read_transcript(texts):
         raise FsmwmError(f"transcript header {clip(' '.join(header))!r} needs "
                          "chi, omega >= 0 and n_b = chi + omega >= 1")
     if n_b > MAX_REGISTER_BITS:
-        raise CapExceededError(f"transcript register of {n_b} bits is past "
-                               f"the {MAX_REGISTER_BITS}-bit cap")
+        raise CapExceededError(f"a transcript register of {n_b} bits", MAX_REGISTER_BITS)
     yield Transcript(n_b, chi, omega, seed)
     expect = 0
     for batch in chain(("".join(more) + rest,), batches):
@@ -188,8 +182,7 @@ class TapSession:
             raise FsmwmError(f"register of chi={chi} input and omega={omega} state "
                              "bits needs chi >= 0 and chi + omega >= 1")
         if chi + omega > MAX_REGISTER_BITS:
-            raise CapExceededError(f"register of {chi + omega} bits is past "
-                                   f"the {MAX_REGISTER_BITS}-bit cap")
+            raise CapExceededError(f"a register of {chi + omega} bits", MAX_REGISTER_BITS)
         need = max(machine.states).bit_length()
         if omega < need:
             raise FsmwmError(f"omega {omega} too narrow; need at least {need} bits")
@@ -318,5 +311,5 @@ def scan_watermark_test(machine: Fsm, chi: int, omega: int, branch: int,
     if steps < 1:
         raise FsmwmError(f"step count {steps} must be >= 1")
     if steps > MAX_SCAN_STEPS:
-        raise CapExceededError(f"step count {steps} is past the cap of {MAX_SCAN_STEPS}")
+        raise CapExceededError(f"a scan test of {steps} steps", MAX_SCAN_STEPS)
     return t.replace(windows=_Frames(opening, [branch] + [0] * steps))

@@ -5,6 +5,9 @@ equivalence checking."""
 from __future__ import annotations
 
 from .errors import (
+    ATTACK_MAX_PROBES,
+    ATTACK_MAX_TICKS,
+    MAX_VERIFY_LENGTH,
     AlphabetMismatchError,
     CapExceededError,
     FsmwmError,
@@ -127,11 +130,6 @@ def _compare(expected: list[str], observed: list[str]) -> Verdict:
     return Verdict(True, None, tuple(expected), tuple(observed))
 
 
-# Longest verification schedule: both runs and the verdict hold every step. A verify
-# at the cap peaks near 55 MB on host8 fixed mode; a matrix run stops at its chain's end.
-MAX_VERIFY_LENGTH = 1 << 20
-
-
 def watermark_test(package: Package, secret: Secret, branch: int,
                    length: int) -> Verdict:
     """Three-step protocol: drive the shipped machine, decode its outputs
@@ -143,8 +141,7 @@ def watermark_test(package: Package, secret: Secret, branch: int,
     if length < 1:
         raise FsmwmError(f"verification length {length} must be >= 1")
     if length > MAX_VERIFY_LENGTH:
-        raise CapExceededError(f"verification length {length} is past the cap "
-                               f"of {MAX_VERIFY_LENGTH}")
+        raise CapExceededError(f"a verification length of {length}", MAX_VERIFY_LENGTH)
     if package.mode != secret.mode:
         raise SemanticError(
             f"package mode {package.mode!r} does not match secret {secret.mode!r}"
@@ -193,12 +190,6 @@ class FsmOracle:
         return out
 
 
-# What informed_attack may spend: one reset per input value, and ticks
-# down one branch before its output stream must have settled or halted.
-ATTACK_MAX_PROBES = 1 << 12
-ATTACK_MAX_TICKS = 1 << 16
-
-
 def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
     """Reconstruct a branch-select machine by probing every input value
     from reset, then ticking down each branch until the output stream
@@ -208,8 +199,8 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
     if chi != oracle.chi:
         raise FsmwmError(f"chi={chi} does not match the oracle's input width {oracle.chi}")
     if chi >= ATTACK_MAX_PROBES.bit_length():       # 2**chi > ATTACK_MAX_PROBES
-        raise CapExceededError(f"chi={chi} needs 2^{chi} probes; the attack "
-                               f"budget is {ATTACK_MAX_PROBES}")
+        raise CapExceededError(f"an attack where chi={chi} needs 2^{chi} probes",
+                               ATTACK_MAX_PROBES)
     resets = oracle.resets
     traces: dict[str, list[str | None]] = {}
     for v in range(1 << chi):
@@ -226,9 +217,8 @@ def informed_attack(oracle: FsmOracle, chi: int) -> Fsm:
                     break
                 prev = out
             else:
-                raise CapExceededError(
-                    f"branch {sym} neither settled nor halted within "
-                    f"{ATTACK_MAX_TICKS} ticks")
+                raise CapExceededError(f"a branch-{sym} tick stream that neither "
+                                       "settles nor halts", ATTACK_MAX_TICKS)
         traces[sym] = trace
     assert oracle.resets - resets == 1 << chi
 

@@ -172,11 +172,12 @@ def test_lpr_path_search_budget_exits_3(tmp_path, capsys, monkeypatch):
     graph.write_text(format_graph(clique_with_leaves(9)))
     assert main(["lpr", str(graph), "-m", "6"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "budget of 1048576 steps" in err
+    assert err.startswith("error:") and (
+        "a longest simple path search of 1048577 steps passes the cap of 1048576" in err)
     # the constant bounds the loop: a smaller budget refuses at its own count
     monkeypatch.setattr("fsmwm.reduction.PATH_SEARCH_BUDGET", 1000)
     assert main(["lpr", str(graph), "-m", "6"]) == 3
-    assert "budget of 1000 steps" in capsys.readouterr().err
+    assert "search of 1001 steps passes the cap of 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -259,7 +260,7 @@ def test_decompose_optimal_cap_refusal(host_file, tmp_path, capsys):
     assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
     code = main(["decompose", str(lk), "--mode", "optimal", "--cap", "5"])
     assert code == 3
-    assert "capped" in capsys.readouterr().err
+    assert "a lattice search over 13 states passes the cap of 5" in capsys.readouterr().err
 
 
 def _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
@@ -269,7 +270,8 @@ def _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
                  "--out-package", str(p), "--out-secret", str(s)]) == 3
     assert time.perf_counter() - t0 < 10.0
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "budget of 1048576 steps" in err
+    assert err.startswith("error:")
+    assert re.search(r"a lattice search of \d+ steps passes the cap of 1048576", err)
     assert not p.exists() and not s.exists()
 
 
@@ -764,7 +766,8 @@ def test_scan_test_steps_cap(host_file, tmp_path, capsys, steps, code):
                  "--steps", str(steps), "-o", str(t)]) == code
     assert t.exists() == (code == 0)
     if code:
-        assert f"past the cap of {MAX_SCAN_STEPS}" in capsys.readouterr().err
+        assert (f"a scan test of {steps} steps passes the cap of {MAX_SCAN_STEPS}"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("chi, branch, steps, message", [
@@ -799,7 +802,7 @@ def test_register_width_cap(host_file, tmp_path, capsys):
     assert main(["lprk", host_file, "-n", "4", "-k", "3", "-o", str(lk)]) == 0
     scan = ["scan-test", str(lk), "--chi", "2", "--steps", "2", "-o", str(t), "--omega"]
     assert main(scan + ["1023"]) == 3
-    assert "register of 1025 bits is past the 1024-bit cap" in capsys.readouterr().err
+    assert "a register of 1025 bits passes the cap of 1024" in capsys.readouterr().err
     assert not t.exists()
     assert main(scan + ["1022"]) == 0
     assert t.read_text().startswith("1024 2 1022 ")
@@ -810,7 +813,7 @@ def test_register_width_cap(host_file, tmp_path, capsys):
     t.write_text("1025 2 1023 31415\n" + t.read_text().split("\n", 1)[1])
     assert main(["decode-scan", str(t)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and "transcript register of 1025 bits is past" in err
+    assert out == "" and "a transcript register of 1025 bits passes the cap of 1024" in err
 
 
 def _cycling_ticks(tmp_path):
@@ -826,8 +829,8 @@ def _cycling_ticks(tmp_path):
 
 
 @pytest.mark.parametrize("chi, message", [
-    ("1", "branch 1 neither settled nor halted within 65536 ticks"),
-    ("13", "chi=13 needs 2^13 probes; the attack budget is 4096"),
+    ("1", "neither settles nor halts passes the cap of 65536"),
+    ("13", "chi=13 needs 2^13 probes passes the cap of 4096"),
     ("40", "chi=40 needs"),
     ("100000000", "chi=100000000 needs 2^100000000 probes"),
     ("100000000000", "chi=100000000000 needs"),
@@ -901,7 +904,7 @@ def test_kiss2_input_width_cap_exits_3(tmp_path, capsys):
     kiss.write_text(".i 17\n.o 1\n.r a\n" + "0" * 17 + " a a 1\n")
     assert main(["extract-cg", str(kiss)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "cap of 16 input bits" in err
+    assert err.startswith("error:") and "a KISS2 .i of 17 bits passes the cap of 16" in err
     kiss.write_text(".i 16\n.o 1\n.r a\n" + "0" * 16 + " a a 1\n")
     assert main(["extract-cg", str(kiss)]) == 0
 
@@ -1016,4 +1019,21 @@ def test_kiss2_dont_care_cap(tmp_path, capsys, monkeypatch):
     kiss.write_text(kiss.read_text() + "0- c c 1\n")
     capsys.readouterr()
     assert main(["extract-cg", str(kiss)]) == 3
-    assert "cap of 8 transitions" in capsys.readouterr().err
+    assert "a KISS2 file of 10 steps passes the cap of 8" in capsys.readouterr().err
+
+
+def test_readme_table_of_caps_matches_errors():
+    # The README's table of limits has a row for each cap fsmwm.errors
+    # declares, at its value, and no row for anything else.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    first = lines.index("| name | value | bounds | refused by |") + 2
+    rows = []
+    for line in lines[first:]:
+        if not line.startswith("|"):
+            break
+        name, value = line.split("|")[1:3]
+        rows.append((name.strip().strip("`"), int(value.replace(",", ""))))
+    caps = {name: value for name, value in vars(fsmwm.errors).items()
+            if name.isupper() and type(value) is int}
+    assert len(rows) == len(caps) and dict(rows) == caps

@@ -270,7 +270,8 @@ def test_minimal_decomposition_budget_refuses_dense_stars(k, monkeypatch):
     # budget; the enumeration of (1, 11) passes it before any probe.
     # Candidates stay block-assignment tuples, so neither builds a Partition.
     built = _count_partitions(monkeypatch)
-    with pytest.raises(CapExceededError, match="budget"):
+    with pytest.raises(CapExceededError,
+                       match=r"a lattice search of \d+ steps passes the cap of 1048576"):
         _host8_pair(1, k)
     assert built == []
 

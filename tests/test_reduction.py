@@ -72,11 +72,11 @@ def test_longest_path_within_budget_matches_oracle():
 
 
 def test_longest_path_budget_refuses_a_larger_clique(monkeypatch):
-    with pytest.raises(CapExceededError, match="budget of 1048576 steps"):
+    with pytest.raises(CapExceededError, match="search of 1048577 steps passes the cap of 1048576"):
         longest_simple_path(clique_with_leaves(9))
     # the constant bounds the loop: a smaller budget refuses at its own count
     monkeypatch.setattr(reduction, "PATH_SEARCH_BUDGET", 1000)
-    with pytest.raises(CapExceededError, match="budget of 1000 steps"):
+    with pytest.raises(CapExceededError, match="search of 1001 steps passes the cap of 1000"):
         longest_simple_path(clique_with_leaves(9))
 
 
