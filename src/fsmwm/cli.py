@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
+import stat
 import sys
 
 from .errors import LATTICE_MAX_STATES, FsmwmError
@@ -28,9 +30,8 @@ DEFAULT_KEY_SEED = 2718
 DEFAULT_SETTING_SEED = 31415
 
 
-def _open(path: str, mode: str = "r"):
-    std = contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
-    return std if path == "-" else open(path, mode, encoding="utf-8")
+def _open(path: str):
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8")
 
 
 def _read(path: str) -> str:
@@ -38,9 +39,29 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _write(path: str, text: str):
-    with _open(path, "w") as f:
-        f.write(text)
+def _in_place(path: str, flags: int) -> int:
+    """``open``'s own flags and creation mode, without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write(path: str, pieces):
+    """Write ``pieces``, one str or an iterable of them, to ``path`` ("-" is
+    stdout).  A file is overwritten in place: truncating it to zero first
+    frees its blocks and, on ext4's default ``auto_da_alloc``, starts their
+    writeback on close.  On any exit a regular file is cut to the bytes
+    written, as a truncating open would have left it; a device, FIFO or
+    terminal is never cut.  Neither way is atomic or synced."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)              # writelines would take it a character at a time
+    if path == "-":
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w", encoding="utf-8", opener=_in_place) as f:
+        try:
+            f.writelines(pieces)
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
 
 
 def _doc(path: str, kind: str | None = None) -> dict:
@@ -278,8 +299,7 @@ def _run(args) -> int:
         m = _load(args.machine)
         t = scan_watermark_test(m, args.chi, args.omega, args.branch,
                                 args.seed, args.steps, setting=args.setting)
-        with _open(args.out, "w") as f:
-            f.writelines(t)                     # clocked and written a frame at a time
+        _write(args.out, t)                     # clocked and written a frame at a time
     elif args.cmd == "decode-scan":
         from .scanchain import _BATCH_CHARS, decode_transcript
         with _open(args.transcript) as f:       # whole lines, about 16 kB at a time

@@ -9,6 +9,7 @@ from functools import cache
 from operator import indexOf
 
 from .errors import (
+    LATTICE_CAP_CEILING,
     LATTICE_MAX_STATES,
     SP_SEARCH_BUDGET,
     CapExceededError,
@@ -119,11 +120,13 @@ def _sp_search(m: Fsm, max_states: int) -> tuple[tuple, list[tuple], int]:
     partition in restricted-growth order, and the placements tried.
     States are placed one at a time; a placement checks only the steps it
     makes judgeable and is undone on backtracking, so a prefix that fails
-    is dropped with all its extensions."""
+    is dropped with all its extensions.  Refuses more states than
+    ``max_states`` or ``LATTICE_CAP_CEILING``, whichever is smaller."""
     states = tuple(sorted(m.states))
     n = len(states)
-    if n > max_states:
-        raise CapExceededError(f"a lattice search over {n} states", max_states)
+    cap = min(max_states, LATTICE_CAP_CEILING)
+    if n > cap:
+        raise CapExceededError(f"a lattice search over {n} states", cap)
     domains, steps = _sp_tables(m, states)
     preds = [[(a, x) for a, x, c in s if c == i and a < i] for i, s in enumerate(steps)]
     width = len(m.inputs)

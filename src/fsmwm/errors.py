@@ -14,6 +14,9 @@ MAX_REDUCTION_STATES = 1 << 16
 # Default state cap of the exhaustive lattice search (``--cap``).  Here,
 # not in decompose, because the CLI builds its parser without that module.
 LATTICE_MAX_STATES = 12
+# Most states a lattice search places, whatever ``--cap`` asks: the search
+# recurses once per state, so this stays well under the recursion limit.
+LATTICE_CAP_CEILING = 512
 # Work units one lattice search may spend: every state placement the
 # enumeration tries plus every orthogonality probe of the pair search.
 # The densest host8 shape it answers, the star (1, 9), spends 811,302;

@@ -15,6 +15,7 @@ import pytest
 import fsmwm
 from fsmwm import Fsm, cli, format_fsm, format_graph, machine, parse_fsm
 from fsmwm.cli import main
+from fsmwm.errors import LATTICE_CAP_CEILING
 from fsmwm.reduction import MAX_REDUCTION_STATES
 from fsmwm.scanchain import MAX_SCAN_STEPS
 from fsmwm.verify import MAX_VERIFY_LENGTH
@@ -261,6 +262,23 @@ def test_decompose_optimal_cap_refusal(host_file, tmp_path, capsys):
     code = main(["decompose", str(lk), "--mode", "optimal", "--cap", "5"])
     assert code == 3
     assert "a lattice search over 13 states passes the cap of 5" in capsys.readouterr().err
+
+
+def test_decompose_optimal_cap_has_a_ceiling(host_file, tmp_path, capsys):
+    # The search recurses once per state placed, so a --cap past the ceiling
+    # is held to it: 1,401 states are refused, not a recursion error, and a
+    # search over 512 states runs until its step budget refuses it.
+    outs = [f"--out-{name}={tmp_path / name}" for name in ("pi-i", "pi-d", "front", "back")]
+    big, top = tmp_path / "big.json", tmp_path / "top.json"
+    assert main(["lprk", host_file, "-n", "700", "-k", "2", "-o", str(big)]) == 0
+    assert main(["decompose", str(big), "--mode", "optimal", "--cap", "5000"] + outs) == 3
+    assert capsys.readouterr().err == \
+        f"error: a lattice search over 1401 states passes the cap of {LATTICE_CAP_CEILING}\n"
+    assert main(["lprk", host_file, "-n", str(LATTICE_CAP_CEILING - 1), "-k", "1",
+                 "-o", str(top)]) == 0
+    assert main(["decompose", str(top), "--mode", "optimal", "--cap", "5000"] + outs) == 3
+    assert re.fullmatch(r"error: a lattice search of \d+ steps passes the cap of 1048576\n",
+                        capsys.readouterr().err)
 
 
 def _assert_optimal_budget_exits_3(host_file, tmp_path, capsys, k):
